@@ -17,9 +17,9 @@ from .csvio import (DescriptorCurve, DescriptorRow, export_csv,
                     load_spectrum_csv)
 from .doppler import QuadratureSpec, doppler_average
 from .errors import (ConfigError, DegenerateRates, DegenerateSpectrum,
-                     LambdaSpectraError, NonPhysicalGain, NoSignChange,
-                     ParseError, QuadratureDivergence, SchemaMismatch,
-                     SingularSystem, ZeroBackground)
+                     LambdaSpectraError, NoSignChange, ParseError,
+                     QuadratureDivergence, SchemaMismatch, SingularSystem,
+                     ZeroBackground)
 from .fitting import FitResult, fit_lineshape, initial_guess, to_polar
 from .hanle import (TransitionSigns, ZeemanState, brightness, dark_state,
                     overlap, zeeman_detuning)

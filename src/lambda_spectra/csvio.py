@@ -106,8 +106,7 @@ def load_spectrum_csv(path) -> Spectrum:
     if np.any(np.diff(g) <= 0):
         bad = int(np.argmax(np.diff(g) <= 0)) + 3  # header + 1-based + offset
         raise ParseError(f"{path}: row {bad}: delta grid is not strictly increasing")
-    return Spectrum(delta_grid=mhz(1.0) * g, transmission=np.asarray(trans),
-                    metadata={"source": str(path)})
+    return Spectrum(delta_grid=mhz(1.0) * g, transmission=np.asarray(trans))
 
 
 def _spectrum_lines(spec: Spectrum):

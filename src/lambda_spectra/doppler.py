@@ -69,7 +69,11 @@ def velocity_nodes(quad: QuadratureSpec, ku: float):
     """(weights, kv-offsets) realizing the normalized Maxwell average.
 
     Weights sum to 1 exactly, so a constant integrand averages to itself.
+    For ku = 0 the distribution is a delta and the single node (1, 0) is
+    returned, as `doppler_average` does.
     """
+    if ku == 0.0:
+        return np.ones(1), np.zeros(1)
     if quad.scheme == "gauss_hermite":
         t, w = _hermite(quad.node_count)
         w = w / w.sum()

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class LambdaSpectraError(Exception):
@@ -49,9 +49,3 @@ class SchemaMismatch(LambdaSpectraError):
 
 class ConfigError(LambdaSpectraError):
     """Scan configuration is invalid; the message names the section/field."""
-
-
-class NonPhysicalGain(UserWarning):
-    """A propagation slab produced a negative probe absorption coefficient
-    beyond tolerance (Raman gain).  Recorded, not fatal: descriptor
-    extraction annotates affected grid points."""

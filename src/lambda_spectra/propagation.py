@@ -17,23 +17,25 @@ result.
 
 Local Rabi magnitudes scale as the square root of the local intensities.
 
-Transmission values are I_p(L)/I_p(0), unnormalized.  `normalize` divides
-by the coherence-free baseline: the same slab march with the two-photon
-resonance term removed, i.e. the |delta| -> infinity plateau of the
-absorption profile, which keeps the drive-pumped populations of the actual
-parameter set.
+Beside the probe, the march carries the coherence-free baseline: the
+|delta| -> infinity plateau of the absorption profile, which keeps the
+drive-pumped populations of the actual parameter set, marched on the same
+drive trajectory.  The plateau and alpha_d come from one kernel,
+`_background_alphas`, which `scan` also uses to size grids and slabs.
+
+Transmission values are I_p(L)/I_p(0), unnormalized; the spectrum carries
+the baseline, and `normalize` divides by it.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .doppler import QuadratureSpec, velocity_nodes
-from .errors import NonPhysicalGain, ZeroBackground
+from .errors import ZeroBackground
 from .model import Fields, Medium, Rates, drive_only_populations
 
 __all__ = ["SlabConfig", "Spectrum", "transmit", "normalize",
@@ -47,11 +49,9 @@ _CHUNK_ELEMENTS = 4_000_000
 
 @dataclass(frozen=True)
 class SlabConfig:
-    """Slab-march settings.  richardson_check reruns at doubled resolution
-    and records the largest transmission change in the spectrum metadata."""
+    """Slab-march settings."""
 
     slab_count: int = 128
-    richardson_check: bool = False
 
     def __post_init__(self):
         if self.slab_count < 16:
@@ -60,19 +60,30 @@ class SlabConfig:
 
 @dataclass
 class Spectrum:
-    """Transmission sampled on a two-photon-detuning grid (rad/s)."""
+    """Transmission sampled on a two-photon-detuning grid (rad/s).
+
+    baseline   coherence-free plateau transmission of the same cell (as
+               marched by `transmit`); 1.0 once normalized, None if unknown
+    gain_flag  grid points where a slab had net probe gain beyond
+               1e-6*kappa; all False unless given
+    """
 
     delta_grid: np.ndarray
     transmission: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    baseline: Optional[float] = None
+    gain_flag: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.delta_grid = np.asarray(self.delta_grid, dtype=float)
         self.transmission = np.asarray(self.transmission, dtype=float)
+        if self.gain_flag is None:
+            self.gain_flag = np.zeros(self.transmission.shape, dtype=bool)
 
     def validate(self) -> None:
         if self.delta_grid.shape != self.transmission.shape:
             raise ValueError("grid/transmission shape mismatch")
+        if self.gain_flag.shape != self.transmission.shape:
+            raise ValueError("gain_flag/transmission shape mismatch")
         if self.delta_grid.size and np.any(np.diff(self.delta_grid) <= 0):
             raise ValueError("delta_grid must be strictly increasing")
         if not np.all(np.isfinite(self.transmission)):
@@ -81,16 +92,31 @@ class Spectrum:
             raise ValueError("transmission must be >= 0")
 
 
+def _background_alphas(g, od2, w, deff, populations, kappa):
+    """Doppler-averaged (plateau, drive) absorption coefficients.
+
+    populations is one `drive_only_populations` result at the local drive
+    od2 = |omega_d|^2, over the velocity classes deff = Delta - kv with
+    weights w.  plateau is the |delta| -> infinity limit of the probe
+    coefficient, drive is alpha_d.  Both scale with kappa; pass kappa*L for
+    optical depths.
+    """
+    pb, pc = populations
+    g2d2 = g * g + deff * deff
+    plateau = kappa * float(np.dot(w, (g * pb + g * od2 / g2d2 * pc) / g2d2))
+    drive = kappa * g * float(np.dot(w, pc / g2d2))
+    return plateau, drive
+
+
 def _march(rates: Rates, fields: Fields, medium: Medium,
            quad: QuadratureSpec, slab_count: int, delta_grid: np.ndarray,
-           attenuate_drive: bool, plateau: bool):
-    """Shared slab march.  Returns (transmission, gain_flags)."""
+           attenuate_drive: bool):
+    """Shared slab march.  Returns (transmission, gain_flags, baseline)."""
     g, gbc, gr = rates.gamma, rates.gamma_bc, rates.gamma_r
     kappa = medium.kappa(gr)
     w, kv = velocity_nodes(quad, medium.ku)
     deff = fields.big_delta - kv
     gca = g + 1j * deff
-    g2d2 = g * g + deff * deff
     od2_entry = fields.omega_d ** 2
 
     n_d = delta_grid.size
@@ -108,52 +134,49 @@ def _march(rates: Rates, fields: Fields, medium: Medium,
 
     dz = medium.length / slab_count
     ip = np.ones(n_d)
+    baseline = 1.0
     id_rel = 1.0  # drive intensity relative to entry
     gain = np.zeros(n_d, dtype=bool)
-
-    def drive_rate(od_local):
-        _, pc0 = drive_only_populations(rates, od_local, deff)
-        return kappa * g * float(np.dot(w, pc0 / g2d2))
+    deplete = attenuate_drive and kappa > 0.0
 
     for _ in range(slab_count):
         od2 = od2_entry * id_rel
         od = np.sqrt(od2)
 
-        if attenuate_drive and kappa > 0.0:
+        if deplete:
             # midpoint (RK2) drive update; the probe coefficient below is
             # evaluated at the midpoint drive intensity
-            id_mid = id_rel * np.exp(-0.5 * drive_rate(od) * dz)
+            pops = drive_only_populations(rates, od, deff)
+            _, alpha_d = _background_alphas(g, od2, w, deff, pops, kappa)
+            id_mid = id_rel * np.exp(-0.5 * alpha_d * dz)
             od2 = od2_entry * id_mid
             od = np.sqrt(od2)
 
         pb, pc = drive_only_populations(rates, od, deff)
+        alpha_bg, alpha_d = _background_alphas(g, od2, w, deff, (pb, pc),
+                                               kappa)
+        baseline = baseline * np.exp(-alpha_bg * dz)
 
-        if plateau:
-            # |delta| -> infinity baseline of the per-class absorption
-            g_r_pump = g * od2 / g2d2  # Re(od2 / gca)
-            alpha = kappa * float(np.dot(w, (g * pb + g_r_pump * pc) / g2d2))
-            ip = ip * np.exp(-alpha * dz)
-        else:
-            # Im chi = Re(num/den) with num = Gamma_cb*pb - (od2/Gamma_ca)*pc
-            # and den = Gamma_ab*Gamma_cb + od2; expanded in real arithmetic
-            # on the precomputed Gamma products
-            pump = (od2 / gca) * pc
-            nr = (gbc * pb - pump.real)[:, None]
-            ni0 = -pump.imag[:, None]
-            pbc = pb[:, None]
-            for sl, gr_blk, gi_blk, gi2_blk in blocks:
-                den_r = gr_blk + od2
-                num = nr * den_r + (ni0 - pbc * delta_grid[None, sl]) * gi_blk
-                chi_im = num / (den_r * den_r + gi2_blk)
-                alpha = kappa * (w @ chi_im)
-                if kappa > 0.0:
-                    gain[sl] |= alpha < -_GAIN_TOL * kappa
-                ip[sl] = ip[sl] * np.exp(-alpha * dz)
+        # Im chi = Re(num/den) with num = Gamma_cb*pb - (od2/Gamma_ca)*pc
+        # and den = Gamma_ab*Gamma_cb + od2; expanded in real arithmetic
+        # on the precomputed Gamma products
+        pump = (od2 / gca) * pc
+        nr = (gbc * pb - pump.real)[:, None]
+        ni0 = -pump.imag[:, None]
+        pbc = pb[:, None]
+        for sl, gr_blk, gi_blk, gi2_blk in blocks:
+            den_r = gr_blk + od2
+            num = nr * den_r + (ni0 - pbc * delta_grid[None, sl]) * gi_blk
+            chi_im = num / (den_r * den_r + gi2_blk)
+            alpha = kappa * (w @ chi_im)
+            if kappa > 0.0:
+                gain[sl] |= alpha < -_GAIN_TOL * kappa
+            ip[sl] = ip[sl] * np.exp(-alpha * dz)
 
-        if attenuate_drive and kappa > 0.0:
-            id_rel = id_rel * np.exp(-drive_rate(od) * dz)
+        if deplete:
+            id_rel = id_rel * np.exp(-alpha_d * dz)
 
-    return ip, gain
+    return ip, gain, float(baseline)
 
 
 def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
@@ -164,10 +187,11 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
     """Unnormalized probe transmission I_p(L)/I_p(0) on a two-photon grid.
 
     fields_at_entry.small_delta is ignored; the grid supplies the
-    two-photon detuning.  Emits a NonPhysicalGain warning (and flags the
-    affected grid points in metadata["gain_flag"]) when a slab produces
-    negative absorption beyond 1e-6*kappa; gain is physical in some Raman
-    regimes, so this is recorded, not fatal.
+    two-photon detuning.  The returned spectrum carries the coherence-free
+    baseline of the same march in `baseline`, and flags in `gain_flag` the
+    grid points where a slab produced negative absorption beyond
+    1e-6*kappa; gain is physical in some Raman regimes, so it is recorded,
+    not fatal.
     """
     if medium.length <= 0:
         raise ValueError("medium.length must be > 0")
@@ -179,23 +203,10 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
     slabs = slabs or SlabConfig()
     delta_grid = np.asarray(delta_grid, dtype=float)
 
-    ip, gain = _march(rates, fields_at_entry, medium, quad, slabs.slab_count,
-                      delta_grid, attenuate_drive, plateau=False)
-    meta = {
-        "rates": rates, "fields": fields_at_entry, "medium": medium,
-        "quad": quad, "slabs": slabs, "attenuate_drive": attenuate_drive,
-        "normalized": False, "gain_flag": gain,
-    }
-    if gain.any():
-        warnings.warn(
-            f"negative probe absorption at {int(gain.sum())} grid point(s)",
-            NonPhysicalGain, stacklevel=2)
-    if slabs.richardson_check:
-        ip2, _ = _march(rates, fields_at_entry, medium, quad,
-                        2 * slabs.slab_count, delta_grid, attenuate_drive,
-                        plateau=False)
-        meta["richardson_max_change"] = float(np.max(np.abs(ip2 - ip)))
-    spec = Spectrum(delta_grid=delta_grid, transmission=ip, metadata=meta)
+    ip, gain, baseline = _march(rates, fields_at_entry, medium, quad,
+                                slabs.slab_count, delta_grid, attenuate_drive)
+    spec = Spectrum(delta_grid=delta_grid, transmission=ip,
+                    baseline=baseline, gain_flag=gain)
     spec.validate()
     return spec
 
@@ -205,36 +216,27 @@ def reference_transmission(rates: Rates, fields: Fields, medium: Medium,
                            slabs: Optional[SlabConfig] = None,
                            attenuate_drive: bool = True) -> float:
     """Coherence-free baseline transmission: the |delta| -> infinity plateau
-    of the absorption profile marched through the same cell."""
+    of the absorption profile marched through the same cell (the baseline
+    `transmit` returns, from a march over an empty grid)."""
     quad = quad or QuadratureSpec()
     slabs = slabs or SlabConfig()
-    ip, _ = _march(rates, fields, medium, quad, slabs.slab_count,
-                   np.zeros(1), attenuate_drive, plateau=True)
-    return float(ip[0])
+    return _march(rates, fields, medium, quad, slabs.slab_count,
+                  np.zeros(0), attenuate_drive)[2]
 
 
 def normalize(spectrum: Spectrum) -> Spectrum:
-    """Divide by the coherence-destroyed baseline so the far-detuned plateau
-    sits at 1.  Requires the parameter set in spectrum.metadata (as written
-    by `transmit`).  Raises ZeroBackground if the baseline underflows."""
+    """Divide by the spectrum's own baseline so the far-detuned plateau sits
+    at 1.  Raises ValueError if the spectrum carries no baseline and
+    ZeroBackground if the baseline underflows."""
     if spectrum.delta_grid.size == 0:
         raise ValueError("cannot normalize an empty spectrum")
-    meta = spectrum.metadata
-    try:
-        rates, fields, medium = meta["rates"], meta["fields"], meta["medium"]
-    except KeyError:
-        raise ValueError("normalize needs the producing parameter set in "
-                         "spectrum.metadata") from None
-    ref = reference_transmission(rates, fields, medium, meta.get("quad"),
-                                 meta.get("slabs"),
-                                 meta.get("attenuate_drive", True))
+    ref = spectrum.baseline
+    if ref is None:
+        raise ValueError("spectrum carries no baseline to normalize by")
     if not np.isfinite(ref) or ref < 1e-300:
         raise ZeroBackground(f"reference transmission underflowed ({ref!r})")
-    out = dict(meta)
-    out["normalized"] = True
-    out["reference_transmission"] = ref
     spec = Spectrum(delta_grid=spectrum.delta_grid.copy(),
                     transmission=spectrum.transmission / ref,
-                    metadata=out)
+                    baseline=1.0, gain_flag=spectrum.gain_flag.copy())
     spec.validate()
     return spec

@@ -27,7 +27,6 @@ import hashlib
 import json
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -41,7 +40,8 @@ from .doppler import QuadratureSpec, velocity_nodes
 from .errors import ConfigError, DegenerateSpectrum
 from .fitting import fit_lineshape
 from .model import Fields, Medium, Rates, drive_only_populations
-from .propagation import SlabConfig, Spectrum, normalize, transmit
+from .propagation import (SlabConfig, Spectrum, _background_alphas, normalize,
+                          transmit)
 from .units import cm, khz, mhz, nm, per_cm3
 
 __all__ = ["ScanConfig", "load_config", "parse_config", "preset_config",
@@ -74,7 +74,6 @@ _SCHEMA = {
     ("quadrature", "truncation"): (float, 6.0),
     ("slabs", "slab_count"): (int, 128),
     ("slabs", "adaptive"): (bool, True),
-    ("slabs", "richardson_check"): (bool, False),
     ("output", "directory"): (str, "scan_output"),
     ("output", "write_spectra"): (bool, True),
     ("output", "svg"): (bool, False),
@@ -115,8 +114,7 @@ class ScanConfig:
                               truncation=self.get("quadrature", "truncation"))
 
     def slabs(self) -> SlabConfig:
-        return SlabConfig(slab_count=self.get("slabs", "slab_count"),
-                          richardson_check=self.get("slabs", "richardson_check"))
+        return SlabConfig(slab_count=self.get("slabs", "slab_count"))
 
     def sweep_deltas(self) -> np.ndarray:
         start = self.get("sweep", "start_mhz")
@@ -306,15 +304,11 @@ def _background_depths(rates: Rates, fields: Fields,
     kl = medium.kappa_L(rates.gamma_r)
     if kl <= 0:
         return 0.0, 0.0
-    g = rates.gamma
-    od2 = fields.omega_d**2
     w, kv = velocity_nodes(QuadratureSpec(node_count=32), medium.ku)
     deff = fields.big_delta - kv
-    pb, pc = drive_only_populations(rates, fields.omega_d, deff)
-    g2d2 = g * g + deff * deff
-    probe = kl * float(np.dot(w, (g * pb + (g * od2 / g2d2) * pc) / g2d2))
-    drive = kl * g * float(np.dot(w, pc / g2d2))
-    return probe, drive
+    pops = drive_only_populations(rates, fields.omega_d, deff)
+    return _background_alphas(rates.gamma, fields.omega_d**2, w, deff, pops,
+                              kl)
 
 
 def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
@@ -396,11 +390,8 @@ def scan_point(cfg: ScanConfig, big_delta: float) -> tuple[Spectrum, DescriptorR
         grid = auto_delta_grid(rates, fields, medium,
                                base_points=cfg.get("delta_grid", "points"))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # gain flags land in the row
-        raw = transmit(rates, fields, medium, quad, slabs, grid)
-        spec = normalize(raw)
-    gain = bool(np.any(raw.metadata["gain_flag"]))
+    spec = normalize(transmit(rates, fields, medium, quad, slabs, grid))
+    gain = bool(np.any(spec.gain_flag))
 
     try:
         fit = fit_lineshape(spec)

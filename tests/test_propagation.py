@@ -1,11 +1,14 @@
 """Slab propagation: closed-form limits, convergence, normalization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lambda_spectra import (Fields, Medium, QuadratureSpec, Rates, SlabConfig,
-                            Spectrum, ZeroBackground, absorption_profile,
-                            ac_stark_shift, doppler_average, normalize,
+from lambda_spectra import (DegenerateRates, Fields, Medium, QuadratureSpec,
+                            Rates, SlabConfig, Spectrum, ZeroBackground,
+                            absorption_profile, ac_stark_shift,
+                            doppler_average, normalize, preset_config,
                             reference_transmission, resonance_width, transmit,
                             weak_probe_susceptibility)
 from lambda_spectra.model import drive_only_populations
@@ -30,7 +33,8 @@ class TestTransmit:
         spec = transmit(rates30(), fields30(), med, delta_grid=grid)
         assert np.all(spec.transmission == 1.0)
 
-    def test_beer_lambert_closed_form(self):
+    @pytest.mark.parametrize("scheme", ["gauss_hermite", "trapezoid"])
+    def test_beer_lambert_closed_form(self, scheme):
         # no Doppler, drive attenuation off: alpha is z-independent and the
         # slab march must reproduce exp(-alpha L) to machine accuracy
         med = Medium(density=2.5e17, length=0.025, wavelength=794.979e-9,
@@ -38,7 +42,7 @@ class TestTransmit:
         rates, f = rates30(), fields30(mhz(300))
         grid = ac_stark_shift(f.big_delta, f.omega_d, rates.gamma) + \
             np.linspace(-khz(20), khz(20), 21)
-        spec = transmit(rates, f, med, QuadratureSpec(), SlabConfig(64),
+        spec = transmit(rates, f, med, QuadratureSpec(scheme), SlabConfig(64),
                         grid, attenuate_drive=False)
         pb, pc = drive_only_populations(rates, f.omega_d,
                                         np.array([f.big_delta]))
@@ -92,12 +96,13 @@ class TestTransmit:
                                       rel=1e-9)
 
     def test_richardson_at_defaults(self):
+        # doubling the default slab count moves T by less than 1e-6
         rates, f = rates30(), fields30()
         grid = np.linspace(-mhz(1.5), mhz(1.5), 41)
-        spec = transmit(rates, f, MED30, QuadratureSpec(),
-                        SlabConfig(slab_count=128, richardson_check=True),
-                        grid)
-        assert spec.metadata["richardson_max_change"] < 1e-6
+        t128, t256 = (transmit(rates, f, MED30, QuadratureSpec(),
+                               SlabConfig(n), grid).transmission
+                      for n in (128, 256))
+        assert np.max(np.abs(t256 - t128)) < 1e-6
 
     def test_weak_probe_precondition(self):
         with pytest.raises(ValueError):
@@ -107,7 +112,7 @@ class TestTransmit:
     def test_gain_flags_recorded(self):
         grid = np.linspace(-mhz(1), mhz(1), 11)
         spec = transmit(rates30(), fields30(), MED30, delta_grid=grid)
-        flags = spec.metadata["gain_flag"]
+        flags = spec.gain_flag
         assert flags.shape == grid.shape
         assert not flags.any()  # linear response absorbs everywhere here
 
@@ -174,11 +179,55 @@ class TestNormalize:
             normalize(transmit(rates, f, med,
                                delta_grid=np.linspace(-mhz(1), mhz(1), 9)))
 
-    def test_requires_metadata(self):
+    def test_requires_baseline(self):
         spec = Spectrum(delta_grid=np.linspace(-1, 1, 9),
                         transmission=np.ones(9))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="baseline"):
             normalize(spec)
+
+    def test_divides_by_baseline(self):
+        grid = np.linspace(-mhz(1), mhz(1), 11)
+        raw = transmit(rates30(), fields30(), MED30, delta_grid=grid)
+        spec = normalize(raw)
+        assert np.array_equal(spec.transmission,
+                              raw.transmission / raw.baseline)
+        assert spec.baseline == 1.0
+        assert np.array_equal(spec.gain_flag, raw.gain_flag)
+
+
+class TestEdgeRates:
+    """Degenerate-rate branches of the drive-only populations, reached
+    through transmit and normalize."""
+
+    GRID = np.linspace(-khz(50), khz(50), 101)  # GRID[50] == 0
+
+    @pytest.mark.parametrize("preset", ["ne_30torr", "vacuum"])
+    def test_no_ground_relaxation_is_transparent_at_two_photon_resonance(
+            self, preset):
+        # gamma_bc = 0 pumps everything into the dark state
+        cfg = preset_config(preset)
+        rates = replace(cfg.rates(), gamma_bc=0.0)
+        spec = transmit(rates, cfg.fields(), cfg.medium(), cfg.quadrature(),
+                        SlabConfig(32), self.GRID)
+        assert spec.transmission[50] == 1.0
+
+    def test_no_drive_is_flat_after_normalize(self):
+        # omega_d = 0: a two-level line, flat in delta over +-50 kHz
+        cfg = preset_config("ne_30torr")
+        f = Fields(omega_d=0.0, omega_p=0.0, big_delta=mhz(300))
+        spec = normalize(transmit(cfg.rates(), f, cfg.medium(),
+                                  cfg.quadrature(), SlabConfig(32),
+                                  self.GRID))
+        assert spec.transmission[50] == 1.0
+        assert np.max(np.abs(spec.transmission - 1.0)) < 3e-4
+
+    def test_no_drive_and_no_ground_relaxation_raises(self):
+        cfg = preset_config("ne_30torr")
+        rates = replace(cfg.rates(), gamma_bc=0.0)
+        f = Fields(omega_d=0.0, omega_p=0.0, big_delta=mhz(300))
+        with pytest.raises(DegenerateRates):
+            transmit(rates, f, cfg.medium(), cfg.quadrature(), SlabConfig(32),
+                     self.GRID)
 
 
 def test_reference_is_plateau_level():
@@ -199,6 +248,16 @@ def test_reference_is_plateau_level():
     far30 = transmit(rates, f, MED30,
                      delta_grid=np.array([d0 + 2000 * gt])).transmission[0]
     assert ref30 == pytest.approx(far30, rel=5e-3)
+
+
+@pytest.mark.parametrize("attenuate_drive", [True, False])
+def test_baseline_is_reference_transmission(attenuate_drive):
+    rates, f = rates30(), fields30(mhz(900))
+    quad, slabs = QuadratureSpec(), SlabConfig(32)
+    spec = transmit(rates, f, MED30, quad, slabs,
+                    np.linspace(-mhz(1), mhz(1), 21), attenuate_drive)
+    assert spec.baseline == reference_transmission(rates, f, MED30, quad,
+                                                   slabs, attenuate_drive)
 
 
 def test_slab_config_validation():

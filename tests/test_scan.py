@@ -1,6 +1,7 @@
 """Config parsing, presets, scan pipeline, CLI, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ class TestScanPipeline:
         assert row.D == pytest.approx(math.hypot(row.A, row.B), rel=1e-12)
         assert row.phi == pytest.approx(math.atan2(row.B, row.A), rel=1e-12)
         assert abs(row.phi) > 0.6 * math.pi  # absorption-dominated here
-        assert spec.metadata["normalized"]
+        assert spec.baseline == 1.0
 
     def test_empty_cell_records_degenerate_fit(self):
         cfg = parse_config(CHEAP_CONFIG.replace("density_cm3 = 2.5e11",
@@ -202,6 +203,17 @@ class TestScanPipeline:
         a = (tmp_path / "t1" / "descriptors.csv").read_bytes()
         b = (tmp_path / "t3" / "descriptors.csv").read_bytes()
         assert a == b
+
+    def test_threaded_scans_leave_warning_filters_alone(self, tmp_path,
+                                                        monkeypatch):
+        # the process-wide filter list is shared by every thread, so no
+        # pool worker may push to or pop from it
+        cfg = parse_config(CHEAP_CONFIG)
+        monkeypatch.setenv(ENV_THREADS, "2")
+        before = list(warnings.filters)
+        for i in range(10):
+            run_scan(cfg, out_dir=tmp_path / f"r{i}")
+            assert warnings.filters == before, f"changed by run {i}"
 
 
 class TestCli:
