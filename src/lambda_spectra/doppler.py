@@ -10,13 +10,29 @@ The two-photon detuning is not shifted: the residual Doppler width of the
 ground-state transition is negligible for copropagating fields and is not
 modeled.
 
-Two quadratures are provided.  Gauss-Hermite is the default and is accurate
-when the integrand's structure is not much narrower than the node spacing
-(~0.28*ku near the center for 64 nodes); that holds for pressure-broadened
-optical lines but NOT for a bare radiative linewidth of a few MHz under a
-250 MHz Doppler width.  The trapezoid rule on a truncated grid handles
-narrow integrands at the cost of more nodes.  An n-versus-2n refinement
-check guards against silently under-resolved features.
+Three schemes are named by `QuadratureSpec`.  "exact" is the closed form
+for integrands that are rational in x = Delta - kv: partial fractions turn
+the average into a sum over the poles p of residue times
+
+    <1/(x - p)> = -i sqrt(pi)/ku * w((Delta - p)/ku)      (Im p < 0)
+
+and its mirror image above the real axis, where w is the Faddeeva
+function (`scipy.special.wofz`).  `maxwell_mean_inverse` evaluates that
+average and `maxwell_mean_slope` the divided difference of two of them,
+which stays accurate as the two poles coalesce.  The exact scheme has no
+nodes; `model.maxwell_absorption`, the slab kernel of `propagation`, is
+built from these two functions, and the scheme is the scan config's
+default.
+
+`doppler_average` takes an arbitrary callable and so needs velocity nodes;
+it is the independent cross-check of the exact kernel.  Gauss-Hermite is
+accurate when the integrand's structure is not much narrower than the node
+spacing (~0.28*ku near the center for 64 nodes); that holds for
+pressure-broadened optical lines but NOT for a bare radiative linewidth of
+a few MHz under a 250 MHz Doppler width.  The trapezoid rule on a
+truncated grid handles narrow integrands at the cost of more nodes.  An
+n-versus-2n refinement check guards against silently under-resolved
+features.
 """
 
 from __future__ import annotations
@@ -27,22 +43,28 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+from scipy.special import wofz
 
 from .errors import QuadratureDivergence
 
-__all__ = ["QuadratureSpec", "doppler_average", "velocity_nodes"]
+__all__ = ["QuadratureSpec", "doppler_average", "velocity_nodes",
+           "maxwell_mean_inverse", "maxwell_mean_slope"]
 
 _REFINE_RTOL = 1e-4
+_SQRT_PI = np.sqrt(np.pi)
+# pole separation, relative to the scale on which the average varies,
+# below which `maxwell_mean_slope` uses its Taylor series
+_SLOPE_SERIES = 1e-3
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Velocity-quadrature choice.
 
-    scheme      "gauss_hermite" or "trapezoid"
-    node_count  number of velocity nodes (>= 8)
+    scheme      "exact", "gauss_hermite" or "trapezoid"
+    node_count  number of velocity nodes (>= 8; unused by exact)
     truncation  half-width of the trapezoid grid in units of ku (>= 3;
-                ignored by Gauss-Hermite)
+                used by trapezoid only)
     refine      run the n-vs-2n refinement check on every call
     """
 
@@ -52,7 +74,7 @@ class QuadratureSpec:
     refine: bool = False
 
     def __post_init__(self):
-        if self.scheme not in ("gauss_hermite", "trapezoid"):
+        if self.scheme not in ("exact", "gauss_hermite", "trapezoid"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if self.node_count < 8:
             raise ValueError("node_count must be >= 8")
@@ -70,10 +92,13 @@ def velocity_nodes(quad: QuadratureSpec, ku: float):
 
     Weights sum to 1 exactly, so a constant integrand averages to itself.
     For ku = 0 the distribution is a delta and the single node (1, 0) is
-    returned, as `doppler_average` does.
+    returned, as `doppler_average` does, whatever the scheme; for ku > 0
+    the exact scheme has no nodes and raises ValueError.
     """
     if ku == 0.0:
         return np.ones(1), np.zeros(1)
+    if quad.scheme == "exact":
+        raise ValueError("the exact scheme has no velocity nodes")
     if quad.scheme == "gauss_hermite":
         t, w = _hermite(quad.node_count)
         w = w / w.sum()
@@ -101,12 +126,15 @@ def doppler_average(chi_of_detuning: Callable[[float], complex],
 
     With quad.refine set, the result is compared against a run with twice
     the node count; QuadratureDivergence is raised if they differ by more
-    than 1e-4 relative (an under-resolved narrow feature).
+    than 1e-4 relative (an under-resolved narrow feature).  A callable has
+    no poles to sum over, so the exact scheme raises ValueError.
     """
     if ku < 0:
         raise ValueError("ku must be >= 0")
     if quad is None:
         quad = QuadratureSpec()
+    if quad.scheme == "exact":
+        raise ValueError("doppler_average needs a node scheme, not 'exact'")
     if ku == 0.0:
         return complex(chi_of_detuning(big_delta))
 
@@ -122,3 +150,50 @@ def doppler_average(chi_of_detuning: Callable[[float], complex],
                 f"converged: n vs 2n differ by "
                 f"{abs(fine - coarse) / scale:.2e} relative")
     return coarse
+
+
+def maxwell_mean_inverse(p, big_delta: float, ku: float):
+    """Maxwell average <1/(x - p)> over x = big_delta - kv, elementwise over
+    the complex poles p; ku > 0.
+
+    Below the real axis this is -i sqrt(pi)/ku * w(z) with
+    z = (big_delta - p)/ku in the upper half plane; above it, the complex
+    conjugate of the average for conj(p).  A pole on the real axis gets the
+    value of a pole just below it.  scipy's wofz is accurate to about
+    1e-13 relative.
+    """
+    z = (big_delta - np.asarray(p, dtype=complex)) / ku
+    upper = z.imag >= 0.0
+    m = wofz(np.where(upper, z, z.conj())) * (-1j * _SQRT_PI / ku)
+    return np.where(upper, m, m.conj())
+
+
+def maxwell_mean_slope(p1, p2, m1, m2, big_delta: float, ku: float):
+    """Divided difference (m1 - m2) / (p1 - p2) of M = `maxwell_mean_inverse`,
+    given m1 = M(p1) and m2 = M(p2); elementwise over the array p1 (and
+    m1), with p1 and p2 below the real axis and ku > 0.
+
+    M(p) = -i sqrt(pi)/ku w(z) varies on the scale
+    rho = max(ku, |big_delta - m|) around the midpoint m (w is entire, so
+    nothing singular lies below the real axis).  The difference quotient
+    loses about eps * rho/|p1 - p2| to cancellation; below
+    |p1 - p2| = 1e-3 rho the midpoint series
+    M'(m) + (p1 - p2)^2 M'''(m) / 24 takes over, with truncation error
+    about (|p1 - p2|/rho)^4 relative.  Both sides of the switch stay near
+    1e-13, and coincident poles give M'(m).
+    """
+    h = np.asarray(p1, dtype=complex) - p2
+    mid = p2 + 0.5 * h
+    rho = np.maximum(ku, np.abs(big_delta - mid))
+    near = np.abs(h) < _SLOPE_SERIES * rho
+    out = (m1 - m2) / np.where(near, 1.0, h)
+    if near.any():
+        # w' = -2 z w + 2i/sqrt(pi), differentiated twice more; dz/dp = -1/ku
+        z = (big_delta - mid[near]) / ku
+        w0 = wofz(z)
+        w1 = -2.0 * z * w0 + 2j / _SQRT_PI
+        w2 = -2.0 * w0 - 2.0 * z * w1
+        w3 = -4.0 * w1 - 2.0 * z * w2
+        out[near] = (1j * _SQRT_PI / ku**2) * (
+            w1 + (h[near] / ku) ** 2 * w3 / 24.0)
+    return out

@@ -23,6 +23,11 @@ states are equally populated (no net Raman transfer between equally
 populated levels).  The `GeneralizedRates` values carry the opposite
 rotation sense for Gamma_ab and Gamma_cb; they govern the conjugate
 coherences rho_ba and rho_bc.
+
+The weak-probe absorption built from `drive_only_populations` and
+`weak_probe_susceptibility` is rational in the velocity-shifted detuning,
+so `maxwell_absorption` averages it over the Maxwell distribution in
+closed form; it is the slab kernel of `propagation`.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .doppler import maxwell_mean_inverse, maxwell_mean_slope
 from .errors import DegenerateRates, SingularSystem
 
 __all__ = [
@@ -46,6 +52,7 @@ __all__ = [
     "susceptibility_analytic",
     "weak_probe_susceptibility",
     "drive_only_populations",
+    "maxwell_absorption",
     "population_differences",
 ]
 
@@ -430,3 +437,93 @@ def susceptibility_analytic(rates: Rates, fields: Fields, medium: Medium) -> com
         rates.gamma, rates.gamma_bc, fields.omega_d**2,
         fields.big_delta, fields.small_delta,
         -paa_m_pbb, -paa_m_pcc, medium.kappa(rates.gamma_r)))
+
+
+def maxwell_absorption(rates: Rates, od2: float, big_delta: float, ku: float,
+                       delta_grid, kappa):
+    """Exact Maxwell averages of the weak-probe absorption coefficients:
+    (probe alpha on delta_grid, plateau, alpha_d) at the drive
+    od2 = |omega_d|^2 and one-photon detuning big_delta; ku > 0.  The
+    plateau is the |delta| -> infinity limit of the probe coefficient and
+    alpha_d the drive's two-level coefficient, all proportional to kappa.
+
+    With q = gamma^2 + x^2, c = gamma_r/gamma_bc, a = 3 + c and
+    s^2 = gamma^2 + a gamma od2/(2 gamma_r), the drive-only populations of
+    `drive_only_populations` are
+
+        rho_cc - rho_aa = q / (2 (x^2 + s^2))
+        rho_bb - rho_aa = rho_cc - rho_aa + c gamma od2 / (2 gamma_r (x^2 + s^2))
+
+    The Gamma_ca pole of the probe integrand cancels, leaving the poles
+    +-is and x0 = -delta - i gamma - i od2/Gamma_cb; the plateau and alpha_d
+    have poles at +-i gamma and +-is only.  Partial fractions give, per
+    unit kappa,
+
+        probe    Re{ i/2 M(x0)
+                     + i/Gamma_cb [R(x0) (S - V)/(x0 - is) + i od2 V/2] }
+        plateau  G/2 + k (G - gamma V)
+        alpha_d  gamma V/2
+
+    with M(p) = <1/(x - p)> (`maxwell_mean_inverse`), G = <gamma/q>,
+    V = <1/(x^2 + s^2)>, S = (M(x0) - M(-is))/(x0 + is)
+    (`maxwell_mean_slope`), R(x) = od2 [Gamma_cb (c - 3) gamma/(4 gamma_r)
+    - (gamma - ix)/2] and k = (c/2 - 3/2 + gamma_r/gamma)/a.  No
+    coefficient grows as poles meet: +-is -> +-i gamma (weak drive) enters
+    through the bounded k, and x0 -> -is, reachable at Re x0 = 0 with
+    gamma + od2 gamma_bc/|Gamma_cb|^2 = s, through S.
+
+    Error bound: every term is a Faddeeva value (about 1e-13 relative)
+    times a bounded factor, so each coefficient is accurate to about 1e-13
+    of kappa G, the two-level scale, and to 1e-12 relative wherever it is
+    not itself a small difference of such terms.  A 1e5-node trapezoid
+    agrees to 1e-12 relative on the ne_30torr and vacuum presets at
+    Delta = 0 to 1 GHz, pole coincidence included; the tests hold it to
+    1e-9.
+
+    Edge rates have their own pole sets, as `drive_only_populations` has
+    its own branches: od2 = 0 gives populations (1/2, 1/2) and the single
+    Gamma_ab pole x0 = -delta - i gamma (DegenerateRates if gamma_bc = 0
+    too); gamma_bc = 0 gives (1, 0) and the single pole x0, with
+    coefficient 0 at delta = 0 where Gamma_cb vanishes.  kappa = 0 absorbs
+    nothing; it covers zero optical width, since gamma >= gamma_r.  Where
+    gamma od2 underflows with gamma > 0, the general set is its own limit
+    (s -> gamma, populations -> 1/2).
+    """
+    g, gr, gbc = rates.gamma, rates.gamma_r, rates.gamma_bc
+    if od2 == 0.0 and gbc <= 0.0:
+        raise DegenerateRates("no drive and no ground-state relaxation")
+    if kappa == 0.0:
+        return np.zeros(delta_grid.shape), 0.0, 0.0
+
+    def mean(p):
+        return maxwell_mean_inverse(p, big_delta, ku)
+
+    if od2 == 0.0:
+        half = kappa * 0.5 * (1j * mean(-1j * g)).real
+        return kappa * (0.5j * mean(-delta_grid - 1j * g)).real, half, half
+    gcb = gbc - 1j * delta_grid
+    if gbc == 0.0:
+        dark = delta_grid == 0.0
+        x0 = -delta_grid - 1j * (g + od2 / np.where(dark, 1.0, gcb))
+        probe = np.where(dark, 0.0, (1j * mean(x0)).real)
+        return kappa * probe, kappa * (1j * mean(-1j * g)).real, 0.0
+
+    c = gr / gbc
+    a = 3.0 + c
+    s = np.sqrt(g * g + a * g * od2 / (2.0 * gr))
+    m_g, m_s = mean([-1j * g, -1j * s])
+    two_level = (1j * m_g).real  # G
+    v = (1j * m_s).real / s  # V
+    k = (0.5 * c - 1.5 + gr / g) / a
+    plateau = kappa * (0.5 * two_level + k * (two_level - g * v))
+    drive = kappa * 0.5 * g * v
+    if not delta_grid.size:  # the march's drive-only midpoint step
+        return np.zeros(0), plateau, drive
+
+    x0 = -delta_grid - 1j * (g + od2 / gcb)
+    m0 = mean(x0)
+    slope = maxwell_mean_slope(x0, -1j * s, m0, m_s, big_delta, ku)
+    r = od2 * (gcb * ((c - 3.0) * g / (4.0 * gr)) - 0.5 * g + 0.5j * x0)
+    probe = 0.5j * m0 + (1j / gcb) * (r * (slope - v) / (x0 - 1j * s)
+                                      + 0.5j * od2 * v)
+    return kappa * probe.real, plateau, drive

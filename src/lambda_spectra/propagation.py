@@ -9,8 +9,8 @@ two-level absorption coefficient
 
     alpha_d = kappa * gamma * (rho_cc - rho_aa) / (gamma^2 + Delta_eff^2)
 
-Doppler-averaged with the same weights; the drive update uses a midpoint
-intensity so that the scheme is second order in the slab width.  The drive
+Doppler-averaged the same way; the drive update uses a midpoint intensity
+so that the scheme is second order in the slab width.  The drive
 attenuation model is a closure choice: the same lambda steady state feeds
 both coefficients, and the drive expression reduces to the plain two-level
 result.
@@ -20,8 +20,17 @@ Local Rabi magnitudes scale as the square root of the local intensities.
 Beside the probe, the march carries the coherence-free baseline: the
 |delta| -> infinity plateau of the absorption profile, which keeps the
 drive-pumped populations of the actual parameter set, marched on the same
-drive trajectory.  The plateau and alpha_d come from one kernel,
-`_background_alphas`, which `scan` also uses to size grids and slabs.
+drive trajectory.
+
+One slab kernel gives all three coefficients (probe, plateau, alpha_d).
+Under the default exact scheme the integrands are rational in
+x = Delta - kv, and `model.maxwell_absorption` sums their residues times
+the Faddeeva function (pole sets and error bound in its docstring); a
+slab costs one wofz call per grid point.  A node scheme (Gauss-Hermite,
+trapezoid) averages the same integrands over velocity nodes instead, as
+the independent cross-check.  At ku = 0 every scheme evaluates them at
+x = Delta.  `scan` sizes grids and slabs with the node form of the
+plateau and alpha_d, `_background_alphas`.
 
 Transmission values are I_p(L)/I_p(0), unnormalized; the spectrum carries
 the baseline, and `normalize` divides by it.
@@ -36,15 +45,15 @@ import numpy as np
 
 from .doppler import QuadratureSpec, velocity_nodes
 from .errors import ZeroBackground
-from .model import Fields, Medium, Rates, drive_only_populations
+from .model import (Fields, Medium, Rates, drive_only_populations,
+                    maxwell_absorption, weak_probe_susceptibility)
 
 __all__ = ["SlabConfig", "Spectrum", "transmit", "normalize",
            "reference_transmission"]
 
 _GAIN_TOL = 1e-6  # of kappa
-
-# chunk the (velocity x delta) work arrays to bound peak memory
-_CHUNK_ELEMENTS = 4_000_000
+_EXACT = QuadratureSpec("exact")
+_NO_GRID = np.zeros(0)
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,8 @@ class Spectrum:
 
 
 def _background_alphas(g, od2, w, deff, populations, kappa):
-    """Doppler-averaged (plateau, drive) absorption coefficients.
+    """Doppler-averaged (plateau, drive) absorption coefficients over
+    velocity nodes.
 
     populations is one `drive_only_populations` result at the local drive
     od2 = |omega_d|^2, over the velocity classes deff = Delta - kv with
@@ -108,70 +118,56 @@ def _background_alphas(g, od2, w, deff, populations, kappa):
     return plateau, drive
 
 
+def _node_alphas(rates: Rates, od2: float, w, deff, delta_grid, kappa):
+    """(probe alpha on delta_grid, plateau, alpha_d) averaged over the
+    velocity nodes (w, deff = Delta - kv)."""
+    pb, pc = drive_only_populations(rates, np.sqrt(od2), deff)
+    plateau, drive = _background_alphas(rates.gamma, od2, w, deff, (pb, pc),
+                                        kappa)
+    chi = weak_probe_susceptibility(
+        rates.gamma, rates.gamma_bc, od2, deff[:, None], delta_grid[None, :],
+        pb[:, None], pc[:, None], kappa)
+    return w @ chi.imag, plateau, drive
+
+
 def _march(rates: Rates, fields: Fields, medium: Medium,
            quad: QuadratureSpec, slab_count: int, delta_grid: np.ndarray,
            attenuate_drive: bool):
     """Shared slab march.  Returns (transmission, gain_flags, baseline)."""
-    g, gbc, gr = rates.gamma, rates.gamma_bc, rates.gamma_r
-    kappa = medium.kappa(gr)
-    w, kv = velocity_nodes(quad, medium.ku)
-    deff = fields.big_delta - kv
-    gca = g + 1j * deff
+    kappa = medium.kappa(rates.gamma_r)
+    if quad.scheme == "exact" and medium.ku > 0.0:
+        def alphas(od2, grid):
+            return maxwell_absorption(rates, od2, fields.big_delta,
+                                      medium.ku, grid, kappa)
+    else:
+        w, kv = velocity_nodes(quad, medium.ku)
+        deff = fields.big_delta - kv
+
+        def alphas(od2, grid):
+            return _node_alphas(rates, od2, w, deff, grid, kappa)
+
     od2_entry = fields.omega_d ** 2
-
-    n_d = delta_grid.size
-    chunk = max(1, _CHUNK_ELEMENTS // max(len(kv), 1))
-    # z-independent pieces of Gamma_ab * Gamma_cb, chunked over delta; the
-    # slab loop below works in real arithmetic
-    blocks = []
-    for i in range(0, n_d, chunk):
-        dsl = delta_grid[None, i:i + chunk]
-        gab = g - 1j * (deff[:, None] + dsl)
-        gprod = gab * (gbc - 1j * dsl)
-        blocks.append((slice(i, i + dsl.size), gprod.real.copy(),
-                       gprod.imag.copy(), (gprod.imag ** 2).copy()))
-        del gab, gprod
-
     dz = medium.length / slab_count
-    ip = np.ones(n_d)
+    ip = np.ones(delta_grid.size)
     baseline = 1.0
     id_rel = 1.0  # drive intensity relative to entry
-    gain = np.zeros(n_d, dtype=bool)
+    gain = np.zeros(delta_grid.size, dtype=bool)
     deplete = attenuate_drive and kappa > 0.0
 
     for _ in range(slab_count):
         od2 = od2_entry * id_rel
-        od = np.sqrt(od2)
-
         if deplete:
-            # midpoint (RK2) drive update; the probe coefficient below is
+            # midpoint (RK2) drive update; the coefficients below are
             # evaluated at the midpoint drive intensity
-            pops = drive_only_populations(rates, od, deff)
-            _, alpha_d = _background_alphas(g, od2, w, deff, pops, kappa)
+            alpha_d = alphas(od2, _NO_GRID)[2]
             id_mid = id_rel * np.exp(-0.5 * alpha_d * dz)
             od2 = od2_entry * id_mid
-            od = np.sqrt(od2)
 
-        pb, pc = drive_only_populations(rates, od, deff)
-        alpha_bg, alpha_d = _background_alphas(g, od2, w, deff, (pb, pc),
-                                               kappa)
+        alpha, alpha_bg, alpha_d = alphas(od2, delta_grid)
         baseline = baseline * np.exp(-alpha_bg * dz)
-
-        # Im chi = Re(num/den) with num = Gamma_cb*pb - (od2/Gamma_ca)*pc
-        # and den = Gamma_ab*Gamma_cb + od2; expanded in real arithmetic
-        # on the precomputed Gamma products
-        pump = (od2 / gca) * pc
-        nr = (gbc * pb - pump.real)[:, None]
-        ni0 = -pump.imag[:, None]
-        pbc = pb[:, None]
-        for sl, gr_blk, gi_blk, gi2_blk in blocks:
-            den_r = gr_blk + od2
-            num = nr * den_r + (ni0 - pbc * delta_grid[None, sl]) * gi_blk
-            chi_im = num / (den_r * den_r + gi2_blk)
-            alpha = kappa * (w @ chi_im)
-            if kappa > 0.0:
-                gain[sl] |= alpha < -_GAIN_TOL * kappa
-            ip[sl] = ip[sl] * np.exp(-alpha * dz)
+        if kappa > 0.0:
+            gain |= alpha < -_GAIN_TOL * kappa
+        ip = ip * np.exp(-alpha * dz)
 
         if deplete:
             id_rel = id_rel * np.exp(-alpha_d * dz)
@@ -191,7 +187,7 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
     baseline of the same march in `baseline`, and flags in `gain_flag` the
     grid points where a slab produced negative absorption beyond
     1e-6*kappa; gain is physical in some Raman regimes, so it is recorded,
-    not fatal.
+    not fatal.  quad defaults to the exact Doppler average.
     """
     if medium.length <= 0:
         raise ValueError("medium.length must be > 0")
@@ -199,7 +195,7 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
         raise ValueError("weak-probe regime requires omega_p <= omega_d")
     if delta_grid is None:
         raise ValueError("delta_grid is required")
-    quad = quad or QuadratureSpec()
+    quad = quad or _EXACT
     slabs = slabs or SlabConfig()
     delta_grid = np.asarray(delta_grid, dtype=float)
 
@@ -218,7 +214,7 @@ def reference_transmission(rates: Rates, fields: Fields, medium: Medium,
     """Coherence-free baseline transmission: the |delta| -> infinity plateau
     of the absorption profile marched through the same cell (the baseline
     `transmit` returns, from a march over an empty grid)."""
-    quad = quad or QuadratureSpec()
+    quad = quad or _EXACT
     slabs = slabs or SlabConfig()
     return _march(rates, fields, medium, quad, slabs.slab_count,
                   np.zeros(0), attenuate_drive)[2]

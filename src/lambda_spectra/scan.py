@@ -69,7 +69,7 @@ _SCHEMA = {
     ("sweep", "start_mhz"): (float, None),
     ("sweep", "stop_mhz"): (float, None),
     ("sweep", "points"): (int, None),
-    ("quadrature", "scheme"): (str, "gauss_hermite"),
+    ("quadrature", "scheme"): (str, "exact"),
     ("quadrature", "node_count"): (int, 64),
     ("quadrature", "truncation"): (float, 6.0),
     ("slabs", "slab_count"): (int, 128),
@@ -226,18 +226,10 @@ _PRESETS = {
         ("rates", "gamma_deph_mhz"): 0.0,
         ("rates", "gamma_bc_khz"): 30.0,
         ("sweep", "stop_mhz"): 1000.0,
-        # a bare radiative linewidth under this Doppler width needs the
-        # dense trapezoid; node spacing ~gamma/2 over +-5 ku
-        ("quadrature", "scheme"): "trapezoid",
-        ("quadrature", "node_count"): 1601,
-        ("quadrature", "truncation"): 5.0,
     },
     "kr_0.12torr": {
         ("rates", "gamma_deph_mhz"): 0.6,
         ("rates", "gamma_bc_khz"): 10.0,
-        ("quadrature", "scheme"): "trapezoid",
-        ("quadrature", "node_count"): 1601,
-        ("quadrature", "truncation"): 5.0,
     },
     "ne_30torr": {
         ("rates", "gamma_deph_mhz"): 150.0,
@@ -312,13 +304,15 @@ def _background_depths(rates: Rates, fields: Fields,
 
 
 def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
-                    base_points: int = 801, max_points: int = 3201) -> np.ndarray:
+                    base_points: int = 801, max_points: int = 3201,
+                    depths: tuple[float, float] | None = None) -> np.ndarray:
     """Two-photon grid adapted to the resonance at this one-photon detuning.
 
     Centered on the ac-Stark shift; the span covers the analytic width, the
     Doppler spread of the shift, and the surrounding baseline; the point
     count keeps the expected fitted width (including density narrowing in
     the optically thick near-resonant case) sampled by several points.
+    depths is `_background_depths` of the same point, if already computed.
     """
     g, gbc = rates.gamma, rates.gamma_bc
     od = fields.omega_d
@@ -336,7 +330,9 @@ def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
     else:
         spread = 0.0
 
-    od_bg, _ = _background_depths(rates, fields, medium)
+    if depths is None:
+        depths = _background_depths(rates, fields, medium)
+    od_bg = depths[0]
     kl = medium.kappa_L(rates.gamma_r)
 
     span = (30.0 * max(w_nat, spread / 3.0) / math.sqrt(1.0 + min(od_bg, 30.0))
@@ -360,12 +356,13 @@ def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
     return d0 + np.linspace(-span, span, points)
 
 
-def _adaptive_slabs(cfg_slabs: SlabConfig, rates: Rates, fields: Fields,
-                    medium: Medium) -> SlabConfig:
-    """Scale the slab count with optical depth: the probe coefficient
-    varies in z only through drive depletion, so thin-drive points need
-    few slabs regardless of the probe's own depth."""
-    probe_od, drive_od = _background_depths(rates, fields, medium)
+def _adaptive_slabs(cfg_slabs: SlabConfig,
+                    depths: tuple[float, float]) -> SlabConfig:
+    """Scale the slab count with the (probe, drive) background depths: the
+    probe coefficient varies in z only through drive depletion, so
+    thin-drive points need few slabs regardless of the probe's own
+    depth."""
+    probe_od, drive_od = depths
     lever = math.sqrt(drive_od * (1.0 + probe_od))
     n = 16 * (1 + round(4.0 * lever))
     n = int(np.clip(n, 16, cfg_slabs.slab_count))
@@ -379,8 +376,9 @@ def scan_point(cfg: ScanConfig, big_delta: float) -> tuple[Spectrum, DescriptorR
     fields = cfg.fields(big_delta)
     quad = cfg.quadrature()
     slabs = cfg.slabs()
+    depths = _background_depths(rates, fields, medium)
     if cfg.get("slabs", "adaptive"):
-        slabs = _adaptive_slabs(slabs, rates, fields, medium)
+        slabs = _adaptive_slabs(slabs, depths)
 
     if cfg.get("delta_grid", "mode") == "explicit":
         center = khz(cfg.get("delta_grid", "center_khz"))
@@ -388,7 +386,8 @@ def scan_point(cfg: ScanConfig, big_delta: float) -> tuple[Spectrum, DescriptorR
         grid = center + np.linspace(-span, span, cfg.get("delta_grid", "points"))
     else:
         grid = auto_delta_grid(rates, fields, medium,
-                               base_points=cfg.get("delta_grid", "points"))
+                               base_points=cfg.get("delta_grid", "points"),
+                               depths=depths)
 
     spec = normalize(transmit(rates, fields, medium, quad, slabs, grid))
     gain = bool(np.any(spec.gain_flag))

@@ -1,8 +1,11 @@
 """Velocity averaging: weight normalization, scheme validity, convergence."""
 
+import numpy as np
 import pytest
 
 from lambda_spectra import QuadratureDivergence, QuadratureSpec, doppler_average
+from lambda_spectra.doppler import (maxwell_mean_inverse, maxwell_mean_slope,
+                                    velocity_nodes)
 from lambda_spectra.units import mhz
 
 from oracles import doppler_average_trapezoid
@@ -94,3 +97,41 @@ class TestAccuracy:
             if coarse < 1e-13:
                 break
             assert coarse / fine > 4.0
+
+
+class TestExactScheme:
+    """The Faddeeva building blocks of the exact scheme against the dense
+    trapezoid oracle."""
+
+    def test_needs_a_rational_integrand(self):
+        exact = QuadratureSpec("exact")
+        for ku in (KU, 0.0):
+            with pytest.raises(ValueError, match="exact"):
+                doppler_average(two_level(mhz(3)), 0.0, ku, exact)
+        with pytest.raises(ValueError, match="exact"):
+            velocity_nodes(exact, KU)
+        w, kv = velocity_nodes(exact, 0.0)
+        assert w.tolist() == [1.0] and kv.tolist() == [0.0]
+
+    @pytest.mark.parametrize("pole", [mhz(10) - 1j * mhz(3),
+                                      -mhz(400) - 1j * mhz(900),
+                                      mhz(30) + 1j * mhz(3)])
+    def test_mean_inverse(self, pole):
+        for dl in (0.0, mhz(500)):
+            ref = doppler_average_trapezoid(lambda x: 1.0 / (x - pole), dl, KU)
+            got = maxwell_mean_inverse(pole, dl, KU)
+            assert abs(got - ref) < 1e-12 * abs(ref)
+
+    def test_slope_as_poles_coalesce(self):
+        # (M(p1) - M(p2))/(p1 - p2) = <1/((x - p1)(x - p2))>, on both sides
+        # of the series switch at |p1 - p2| = 1e-3 ku, and at coincidence
+        p2 = mhz(20) - 1j * mhz(18)
+        steps = np.array([5e-2, 2e-3, 5e-4, 1e-7, 0.0])
+        p1 = p2 + KU * steps * (1 - 1j) / np.sqrt(2)
+        m1 = maxwell_mean_inverse(p1, mhz(100), KU)
+        m2 = maxwell_mean_inverse(p2, mhz(100), KU)
+        got = maxwell_mean_slope(p1, p2, m1, m2, mhz(100), KU)
+        for a, b in zip(p1, got):
+            ref = doppler_average_trapezoid(
+                lambda x: 1.0 / ((x - a) * (x - p2)), mhz(100), KU)
+            assert abs(b - ref) < 1e-12 * abs(ref)

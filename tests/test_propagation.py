@@ -11,8 +11,10 @@ from lambda_spectra import (DegenerateRates, Fields, Medium, QuadratureSpec,
                             doppler_average, normalize, preset_config,
                             reference_transmission, resonance_width, transmit,
                             weak_probe_susceptibility)
-from lambda_spectra.model import drive_only_populations
+from lambda_spectra.model import drive_only_populations, maxwell_absorption
 from lambda_spectra.units import khz, mhz
+
+from oracles import doppler_average_trapezoid
 
 MED30 = Medium(density=2.5e17, length=0.025, wavelength=794.979e-9, ku=mhz(250))
 
@@ -33,10 +35,11 @@ class TestTransmit:
         spec = transmit(rates30(), fields30(), med, delta_grid=grid)
         assert np.all(spec.transmission == 1.0)
 
-    @pytest.mark.parametrize("scheme", ["gauss_hermite", "trapezoid"])
+    @pytest.mark.parametrize("scheme", ["gauss_hermite", "trapezoid", "exact"])
     def test_beer_lambert_closed_form(self, scheme):
         # no Doppler, drive attenuation off: alpha is z-independent and the
-        # slab march must reproduce exp(-alpha L) to machine accuracy
+        # slab march must reproduce exp(-alpha L) to machine accuracy; at
+        # ku = 0 every scheme evaluates the integrand at x = Delta
         med = Medium(density=2.5e17, length=0.025, wavelength=794.979e-9,
                      ku=0.0)
         rates, f = rates30(), fields30(mhz(300))
@@ -228,6 +231,129 @@ class TestEdgeRates:
         with pytest.raises(DegenerateRates):
             transmit(rates, f, cfg.medium(), cfg.quadrature(), SlabConfig(32),
                      self.GRID)
+
+
+class TestExactKernel:
+    """The exact Doppler average of the slab kernel against the dense
+    trapezoid oracle: probe alpha(delta), plateau and alpha_d, per unit
+    kappa, with the general pole set and each edge-rate pole set."""
+
+    RTOL = 1e-9
+    GRID = np.linspace(-khz(50), khz(50), 11)
+
+    @staticmethod
+    def oracle(rates, od2, dl, ku, deltas):
+        """(probe alphas, plateau, alpha_d) from a 1e5-node trapezoid."""
+        g, od = rates.gamma, np.sqrt(od2)
+
+        def probe(d):
+            def chi(deff):
+                pb, pc = drive_only_populations(rates, od, deff)
+                return weak_probe_susceptibility(
+                    g, rates.gamma_bc, od2, deff, d, pb, pc, 1.0)
+            return doppler_average_trapezoid(chi, dl, ku).imag
+
+        def background(deff):
+            pb, pc = drive_only_populations(rates, od, deff)
+            q = g * g + deff * deff
+            return (g * pb + g * od2 / q * pc) / q + 1j * g * pc / q
+
+        bg = doppler_average_trapezoid(background, dl, ku)
+        return np.array([probe(d) for d in deltas]), bg.real, bg.imag
+
+    def check(self, rates, od2, dl, ku, deltas):
+        deltas = np.asarray(deltas, dtype=float)
+        got = maxwell_absorption(rates, od2, dl, ku, deltas, 1.0)
+        want = self.oracle(rates, od2, dl, ku, deltas)
+        for g_, w_ in zip(got, want):
+            assert np.allclose(g_, w_, rtol=self.RTOL, atol=0.0)
+        return got
+
+    @pytest.mark.parametrize("preset", ["ne_30torr", "vacuum"])
+    @pytest.mark.parametrize("dl_ghz", [0.0, 0.5, 1.0])
+    def test_presets(self, preset, dl_ghz):
+        cfg = preset_config(preset)
+        rates, ku = cfg.rates(), cfg.medium().ku
+        f = cfg.fields(mhz(1000.0 * dl_ghz))
+        d0 = ac_stark_shift(f.big_delta, f.omega_d, rates.gamma)
+        gt = resonance_width(f.big_delta, f.omega_d, rates.gamma,
+                             rates.gamma_bc)
+        deltas = np.append(d0 + gt * np.array([-5.0, -1.0, 0.0, 2.0, 20.0]),
+                           0.0)
+        self.check(rates, f.omega_d**2, f.big_delta, ku, deltas)
+
+    @pytest.mark.parametrize("preset", ["ne_30torr", "vacuum"])
+    def test_probe_poles_coincide(self, preset):
+        # Re x0 = 0 where |Gamma_cb|^2 = od2; x0 = -is where then also
+        # gamma + gamma_bc = s, which fixes od2.  Approach the coincidence
+        # from afar (on vacuum, across the divided difference's series
+        # switch) and land on it.
+        cfg = preset_config(preset)
+        rates, ku = cfg.rates(), cfg.medium().ku
+        g, gr, gbc = rates.gamma, rates.gamma_r, rates.gamma_bc
+        a = 3.0 + gr / gbc
+        od2 = (2.0 * g * gbc + gbc * gbc) * 2.0 * gr / (a * g)
+        s = np.sqrt(g * g + a * g * od2 / (2.0 * gr))
+        d_c = np.sqrt(od2 - gbc * gbc)
+        deltas = d_c * (1.0 + np.array([0.0, 1e-9, 1e-6, 1e-3, 1.0, 100.0]))
+        x0 = -deltas - 1j * (g + od2 / (gbc - 1j * deltas))
+        assert abs(x0[0] + 1j * s) < 1e-9 * s
+        for dl in (0.0, mhz(500)):
+            self.check(rates, od2, dl, ku, deltas)
+
+    def test_no_ground_relaxation_pole_set(self):
+        # gamma_bc = 0: populations (1, 0), the single pole x0, and the
+        # dark state at delta = 0 absorbs nothing
+        cfg = preset_config("vacuum")
+        rates = replace(cfg.rates(), gamma_bc=0.0)
+        f = cfg.fields(mhz(200))
+        deltas = np.array([-khz(300), khz(10), mhz(2)])
+        self.check(rates, f.omega_d**2, f.big_delta, cfg.medium().ku, deltas)
+        probe, _, drive = maxwell_absorption(
+            rates, f.omega_d**2, f.big_delta, cfg.medium().ku, np.zeros(1),
+            1.0)
+        assert probe[0] == 0.0 and drive == 0.0
+
+    def test_no_drive_pole_set(self):
+        # omega_d = 0: populations (1/2, 1/2) and the single Gamma_ab pole;
+        # at delta = 0 the probe line is the plateau itself
+        cfg = preset_config("vacuum")
+        rates, ku = cfg.rates(), cfg.medium().ku
+        deltas = np.array([0.0, -mhz(5), mhz(40)])
+        probe, plateau, drive = self.check(rates, 0.0, mhz(300), ku, deltas)
+        assert probe[0] == plateau == drive
+
+    def test_zero_optical_width(self):
+        # gamma = 0 forces gamma_r = 0 and so kappa = 0: nothing absorbs.
+        # Where gamma od2 underflows instead, the general pole set is the
+        # no-pumping limit, populations (1/2, 1/2)
+        cfg = preset_config("vacuum")
+        dark = Rates(gamma_r=0.0, gamma_deph=0.0, gamma_bc=khz(30))
+        for scheme in ("exact", "gauss_hermite"):
+            spec = transmit(dark, cfg.fields(), cfg.medium(),
+                            QuadratureSpec(scheme), SlabConfig(16), self.GRID)
+            assert np.all(spec.transmission == 1.0) and spec.baseline == 1.0
+        rates, ku = cfg.rates(), cfg.medium().ku
+        deltas = np.array([0.0, mhz(1)])
+        pumped = maxwell_absorption(rates, 1e-300, mhz(300), ku, deltas, 1.0)
+        unpumped = maxwell_absorption(rates, 0.0, mhz(300), ku, deltas, 1.0)
+        for a, b in zip(pumped, unpumped):
+            assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+    def test_transmit_matches_dense_trapezoid(self):
+        # the whole march, drive depletion included, against an 8001-node
+        # trapezoid on the vacuum preset's bare radiative line (1601 nodes
+        # over +-5 ku still miss its baseline by 1e-4)
+        cfg = preset_config("vacuum")
+        rates, med, f = cfg.rates(), cfg.medium(), cfg.fields(mhz(100))
+        grid = ac_stark_shift(f.big_delta, f.omega_d, rates.gamma) + \
+            np.linspace(-khz(200), khz(200), 9)
+        exact, dense = (transmit(rates, f, med, q, SlabConfig(16), grid)
+                        for q in (QuadratureSpec("exact"),
+                                  QuadratureSpec("trapezoid", 8001)))
+        assert np.allclose(exact.transmission, dense.transmission,
+                           rtol=self.RTOL, atol=0.0)
+        assert exact.baseline == pytest.approx(dense.baseline, rel=self.RTOL)
 
 
 def test_reference_is_plateau_level():

@@ -109,10 +109,19 @@ class TestPresets:
         assert not cfg.warning
 
     def test_vacuum_uses_narrow_capable_quadrature(self):
+        # the exact Doppler average resolves a bare radiative line, so no
+        # preset overrides the [quadrature] defaults
         cfg = preset_config("vacuum")
         assert cfg.get("rates", "gamma_deph_mhz") == 0.0
         assert cfg.get("rates", "gamma_bc_khz") == 30.0
-        assert cfg.quadrature().scheme == "trapezoid"
+        default = parse_config(CHEAP_CONFIG.replace(
+            "scheme = gauss_hermite\nnode_count = 32\n", ""))
+        for name in preset_names():
+            preset = preset_config(name)
+            for key in ("scheme", "node_count", "truncation"):
+                assert (preset.get("quadrature", key)
+                        == default.get("quadrature", key))
+            assert preset.quadrature().scheme == "exact"
 
     def test_ballistic_cell_flagged(self):
         assert preset_config("kr_0.12torr").warning
