@@ -57,7 +57,7 @@ def _cmd_fit(args) -> int:
     print(f"delta0       = {to_khz(p.delta0):.6g} kHz")
     print(f"residual rms = {fit.residual_rms:.3g}")
     print(f"converged    = {str(fit.converged).lower()} "
-          f"({fit.iterations} iterations)")
+          f"({fit.iterations} MINPACK iterations)")
     return EXIT_OK
 
 

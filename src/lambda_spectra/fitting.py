@@ -4,11 +4,13 @@ Fits the empirical lineshape
 
     f(delta) = gt*(A*gt + B*(delta-delta0))/(gt^2 + (delta-delta0)^2) + C
 
-to transmission data by damped Gauss-Newton (Levenberg-style multiplicative
-damping, factor 10) with the analytic Jacobian.  The width gt is kept
-positive through an internal log parameterization.  Descriptors are
-reported both Cartesian (A, B) and polar (D, phi), phi = atan2(B, A) in
-(-pi, pi].
+to transmission data by MINPACK's Levenberg-Marquardt (More 1978, "The
+Levenberg-Marquardt algorithm: implementation and theory"; `lmder` through
+`scipy.optimize.leastsq`, with MINPACK's Jacobian-based variable scaling)
+with the analytic Jacobian, started from `initial_guess`.  The width gt
+is kept positive through an internal log parameterization.  Descriptors
+are reported both Cartesian (A, B) and polar (D, phi), phi = atan2(B, A)
+in (-pi, pi].
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import leastsq
 
 from .analytic import LineshapeParams, PolarForm
 from .errors import DegenerateSpectrum
@@ -24,9 +27,9 @@ from .propagation import Spectrum
 
 __all__ = ["FitResult", "fit_lineshape", "initial_guess", "to_polar"]
 
-_MAX_ITER = 200
-_STEP_TOL = 1e-10
-_GRAD_TOL = 1e-12
+_TOL = 1e-12  # MINPACK ftol = xtol = gtol
+_MAX_EVALS = 500
+_CONVERGED = (1, 2, 3, 4)  # MINPACK info: a tolerance met (5: the cap)
 _FLAT_VARIANCE = 1e-12
 
 
@@ -57,19 +60,22 @@ def _model(d, theta):
 
 
 def _jacobian(d, theta):
+    """d f / d theta as an (n, 5) view of a C-ordered (5, n) array, whose
+    transpose MINPACK takes without a copy (col_deriv)."""
     a, b, _, lg, d0 = theta
     gt = math.exp(lg)
     x = d - d0
-    den = gt * gt + x * x
-    j = np.empty((d.size, 5))
-    j[:, 0] = gt * gt / den
-    j[:, 1] = gt * x / den
-    j[:, 2] = 1.0
-    # d f / d gt, then chain rule onto log(gt)
-    dfdgt = (2 * a * gt * x * x + b * x * (x * x - gt * gt)) / den**2
-    j[:, 3] = gt * dfdgt
-    j[:, 4] = gt * (b * x * x + 2 * a * gt * x - b * gt * gt) / den**2
-    return j
+    x2 = x * x
+    inv = 1.0 / (x2 + gt * gt)
+    u = gt * inv
+    j = np.empty((5, d.size))
+    j[0] = gt * u
+    j[1] = x * u
+    j[2] = 1.0
+    # d f / d delta0; d f / d log(gt) (chain rule through gt) is x times it
+    j[4] = u * inv * (2.0 * a * gt * x + b * (x2 - gt * gt))
+    j[3] = x * j[4]
+    return j.T
 
 
 def initial_guess(spectrum: Spectrum) -> LineshapeParams:
@@ -106,12 +112,16 @@ def initial_guess(spectrum: Spectrum) -> LineshapeParams:
     return LineshapeParams(A=a, B=b, C=c, gamma_tilde=gt, delta0=d0)
 
 
-def fit_lineshape(spectrum: Spectrum, start: LineshapeParams | None = None) -> FitResult:
+def fit_lineshape(spectrum: Spectrum) -> FitResult:
     """Fit the empirical lineshape to a transmission spectrum.
 
-    Returns best-so-far with converged=False after 200 iterations; raises
-    DegenerateSpectrum for flat input.  The covariance diagonal is the
-    Gauss-Newton estimate sigma^2 * diag((J^T J)^-1) in the external
+    converged is MINPACK's verdict: one of its relative tolerances
+    (1e-12 on the sum of squares, the step, or the gradient's cosine with
+    the residual) met within 500 model evaluations; otherwise the last
+    iterate is returned with converged=False.  iterations counts MINPACK's
+    iterations (its Jacobian evaluations).  Raises DegenerateSpectrum for
+    flat input.  The covariance diagonal is the Gauss-Newton estimate
+    sigma^2 * diag((J^T J)^-1) at the final point, in the external
     (A, B, C, gamma_tilde, delta0) parameterization.
     """
     d = np.asarray(spectrum.delta_grid, dtype=float)
@@ -119,48 +129,13 @@ def fit_lineshape(spectrum: Spectrum, start: LineshapeParams | None = None) -> F
     if d.size < 7:
         raise ValueError("need at least 7 grid points to fit 5 parameters")
 
-    g0 = start if start is not None else initial_guess(spectrum)
-    theta = np.array([g0.A, g0.B, g0.C, math.log(g0.gamma_tilde), g0.delta0])
-
-    resid = _model(d, theta) - t
-    sse = float(resid @ resid)
-    lam = 1e-3
-    converged = False
-    iterations = 0
-    jac = _jacobian(d, theta)
-
-    for iterations in range(1, _MAX_ITER + 1):
-        grad = jac.T @ resid
-        if np.max(np.abs(grad)) < _GRAD_TOL * (1.0 + sse):
-            converged = True
-            break
-        h = jac.T @ jac
-        dh = np.diag(h).copy()
-        dh[dh <= 0] = 1.0
-        step = None
-        while lam < 1e14:
-            try:
-                step = np.linalg.solve(h + lam * np.diag(dh), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = theta + step
-            r_new = _model(d, trial) - t
-            sse_new = float(r_new @ r_new)
-            if sse_new <= sse:
-                break
-            lam *= 10.0
-        if step is None or lam >= 1e14:
-            break  # damping exhausted; report best-so-far
-        theta = theta + step
-        resid = _model(d, theta) - t
-        sse = float(resid @ resid)
-        jac = _jacobian(d, theta)
-        lam = max(lam / 10.0, 1e-14)
-        rel_step = np.max(np.abs(step) / np.maximum(np.abs(theta), 1e-300))
-        if rel_step < _STEP_TOL:
-            converged = True
-            break
+    g0 = initial_guess(spectrum)
+    theta0 = np.array([g0.A, g0.B, g0.C, math.log(g0.gamma_tilde), g0.delta0])
+    theta, _, info, _, status = leastsq(
+        lambda th: _model(d, th) - t, theta0,
+        Dfun=lambda th: _jacobian(d, th).T, col_deriv=True, full_output=True,
+        ftol=_TOL, xtol=_TOL, gtol=_TOL, maxfev=_MAX_EVALS)
+    sse = float(info["fvec"] @ info["fvec"])
 
     a, b, c, lg, d0 = theta
     gt = math.exp(lg)
@@ -171,6 +146,7 @@ def fit_lineshape(spectrum: Spectrum, start: LineshapeParams | None = None) -> F
 
     dof = max(d.size - 5, 1)
     sigma2 = sse / dof
+    jac = _jacobian(d, theta)
     try:
         cov_int = sigma2 * np.diag(np.linalg.pinv(jac.T @ jac))
     except np.linalg.LinAlgError:
@@ -180,5 +156,5 @@ def fit_lineshape(spectrum: Spectrum, start: LineshapeParams | None = None) -> F
 
     return FitResult(params=params,
                      polar=PolarForm(D=dd, phi=phi, C=params.C),
-                     residual_rms=rms, converged=converged,
-                     iterations=iterations, covariance_diagonal=cov)
+                     residual_rms=rms, converged=status in _CONVERGED,
+                     iterations=int(info["njev"]), covariance_diagonal=cov)

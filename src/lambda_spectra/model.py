@@ -377,9 +377,10 @@ def drive_only_populations(rates: Rates, omega_d: float, big_delta):
         # optical pumping empties |c> and |a> completely
         return np.ones_like(dl), np.zeros_like(dl)
     # optical pumping rate through the drive transition
-    R = 2.0 * g * od2 / (g * g + dl * dl)
+    R = 2.0 * g * od2 / (g * g + dl * dl) if g > 0.0 else np.zeros_like(dl)
     if np.all(R == 0.0):
-        # zero optical linewidth: no pumping in this rate model
+        # zero optical linewidth: no pumping in this rate model (at g = 0
+        # R would be 0/0 for a zero detuning)
         half = np.full_like(dl, 0.5)
         return half, half.copy()
     paa = 1.0 / (3.0 + 4.0 * gr / R + gr / gbc)

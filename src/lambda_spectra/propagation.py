@@ -120,7 +120,11 @@ def _background_alphas(g, od2, w, deff, populations, kappa):
 
 def _node_alphas(rates: Rates, od2: float, w, deff, delta_grid, kappa):
     """(probe alpha on delta_grid, plateau, alpha_d) averaged over the
-    velocity nodes (w, deff = Delta - kv)."""
+    velocity nodes (w, deff = Delta - kv).  kappa = 0 absorbs nothing, as
+    in `maxwell_absorption`; at gamma = 0, which it implies, the nodes'
+    Lorentzians would be 0/0 at deff = 0."""
+    if kappa == 0.0:
+        return np.zeros(delta_grid.shape), 0.0, 0.0
     pb, pc = drive_only_populations(rates, np.sqrt(od2), deff)
     plateau, drive = _background_alphas(rates.gamma, od2, w, deff, (pb, pc),
                                         kappa)

@@ -2,17 +2,21 @@
 transmit -> normalize -> fit pipeline per point, emit descriptor curves.
 
 Configuration is an INI-style key-value document with flat sections
-([medium], [rates], [fields], [delta_grid], [sweep], [quadrature], [slabs],
-[output]); unknown sections or keys are errors, since a silently ignored
-typo in a physics parameter is the main operational hazard.  All config
-frequencies are ordinary MHz (gamma_bc in kHz), lengths cm, wavelengths nm,
-densities 1/cm^3; conversion to internal rad/s happens here.
+([medium], [rates], [fields], [delta_grid], [sweep], [output]); unknown
+sections or keys are errors, since a silently ignored typo in a physics
+parameter is the main operational hazard.  All config frequencies are
+ordinary MHz (gamma_bc in kHz), lengths cm, wavelengths nm, densities
+1/cm^3; conversion to internal rad/s happens here.
 
 The delta grid is either explicit (center/span/points, kHz) or "auto": a
 per-detuning grid centered on the ac-Stark-shifted resonance, sized from
 the analytic width, its Doppler spread, and the density-narrowing estimate,
 so that both the broad near-resonance structure and the narrow far-detuned
 resonance stay resolved.
+
+Propagation settings are not configurable: every point runs the exact
+Doppler average, with a slab count scaled from the point's background
+depths and capped at 128.
 
 Sweep points are independent; they run on a thread pool capped by
 LAMBDA_SPECTRA_THREADS (0 or unset = auto).  Outputs are byte-deterministic
@@ -28,7 +32,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +44,8 @@ from .doppler import QuadratureSpec, velocity_nodes
 from .errors import ConfigError, DegenerateSpectrum
 from .fitting import fit_lineshape
 from .model import Fields, Medium, Rates, drive_only_populations
-from .propagation import (SlabConfig, Spectrum, _background_alphas, normalize,
-                          transmit)
+from .propagation import (_EXACT, SlabConfig, Spectrum, _background_alphas,
+                          normalize, transmit)
 from .units import cm, khz, mhz, nm, per_cm3
 
 __all__ = ["ScanConfig", "load_config", "parse_config", "preset_config",
@@ -50,6 +54,8 @@ __all__ = ["ScanConfig", "load_config", "parse_config", "preset_config",
 ENV_THREADS = "LAMBDA_SPECTRA_THREADS"
 
 MANIFEST_NAME = "scan_manifest.json"
+
+_MAX_SLABS = 128
 
 # (section, key) -> (type, default); None default means required
 _SCHEMA = {
@@ -69,11 +75,6 @@ _SCHEMA = {
     ("sweep", "start_mhz"): (float, None),
     ("sweep", "stop_mhz"): (float, None),
     ("sweep", "points"): (int, None),
-    ("quadrature", "scheme"): (str, "exact"),
-    ("quadrature", "node_count"): (int, 64),
-    ("quadrature", "truncation"): (float, 6.0),
-    ("slabs", "slab_count"): (int, 128),
-    ("slabs", "adaptive"): (bool, True),
     ("output", "directory"): (str, "scan_output"),
     ("output", "write_spectra"): (bool, True),
     ("output", "svg"): (bool, False),
@@ -107,14 +108,6 @@ class ScanConfig:
         return Fields(omega_d=mhz(self.get("fields", "omega_d_mhz")),
                       omega_p=mhz(self.get("fields", "omega_p_mhz")),
                       big_delta=big_delta)
-
-    def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(scheme=self.get("quadrature", "scheme"),
-                              node_count=self.get("quadrature", "node_count"),
-                              truncation=self.get("quadrature", "truncation"))
-
-    def slabs(self) -> SlabConfig:
-        return SlabConfig(slab_count=self.get("slabs", "slab_count"))
 
     def sweep_deltas(self) -> np.ndarray:
         start = self.get("sweep", "start_mhz")
@@ -280,7 +273,7 @@ def config_text(cfg: ScanConfig) -> str:
             if isinstance(value, bool):
                 value = "true" if value else "false"
             elif isinstance(value, float):
-                value = format(value, "g")
+                value = repr(value)
             out.append(f"{key} = {value}")
         out.append("")
     return "\n".join(out)
@@ -356,8 +349,7 @@ def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
     return d0 + np.linspace(-span, span, points)
 
 
-def _adaptive_slabs(cfg_slabs: SlabConfig,
-                    depths: tuple[float, float]) -> SlabConfig:
+def _adaptive_slabs(depths: tuple[float, float]) -> SlabConfig:
     """Scale the slab count with the (probe, drive) background depths: the
     probe coefficient varies in z only through drive depletion, so
     thin-drive points need few slabs regardless of the probe's own
@@ -365,8 +357,7 @@ def _adaptive_slabs(cfg_slabs: SlabConfig,
     probe_od, drive_od = depths
     lever = math.sqrt(drive_od * (1.0 + probe_od))
     n = 16 * (1 + round(4.0 * lever))
-    n = int(np.clip(n, 16, cfg_slabs.slab_count))
-    return replace(cfg_slabs, slab_count=n)
+    return SlabConfig(slab_count=min(n, _MAX_SLABS))
 
 
 def scan_point(cfg: ScanConfig, big_delta: float) -> tuple[Spectrum, DescriptorRow]:
@@ -374,11 +365,7 @@ def scan_point(cfg: ScanConfig, big_delta: float) -> tuple[Spectrum, DescriptorR
     rates = cfg.rates()
     medium = cfg.medium()
     fields = cfg.fields(big_delta)
-    quad = cfg.quadrature()
-    slabs = cfg.slabs()
     depths = _background_depths(rates, fields, medium)
-    if cfg.get("slabs", "adaptive"):
-        slabs = _adaptive_slabs(slabs, depths)
 
     if cfg.get("delta_grid", "mode") == "explicit":
         center = khz(cfg.get("delta_grid", "center_khz"))
@@ -389,7 +376,10 @@ def scan_point(cfg: ScanConfig, big_delta: float) -> tuple[Spectrum, DescriptorR
                                base_points=cfg.get("delta_grid", "points"),
                                depths=depths)
 
-    spec = normalize(transmit(rates, fields, medium, quad, slabs, grid))
+    # quad and slabs stay explicit: perfbench's traced counts read them
+    # from this call's arguments
+    spec = normalize(transmit(rates, fields, medium, _EXACT,
+                              _adaptive_slabs(depths), grid))
     gain = bool(np.any(spec.gain_flag))
 
     try:

@@ -7,6 +7,7 @@ from lambda_spectra import (DegenerateRates, Fields, GeneralizedRates,
                             Medium, Rates, SingularSystem, equation_residual,
                             population_differences, steady_state,
                             susceptibility_analytic, susceptibility_numeric)
+from lambda_spectra.model import drive_only_populations
 from lambda_spectra.units import khz, mhz
 
 from oracles import steady_state_nullspace
@@ -220,6 +221,14 @@ class TestPopulationDifferences:
         with pytest.raises(DegenerateRates):
             population_differences(rates, Fields(omega_d=0.0, omega_p=0.0,
                                                  big_delta=mhz(5)))
+
+
+def test_drive_only_populations_at_zero_linewidth():
+    # gamma = 0 pumps nothing at any detuning; at zero detuning the
+    # pumping rate's formula is 0/0
+    pb, pc = drive_only_populations(Rates(0.0, 0.0, 1e3), 1e6, [0.0, 1e6])
+    assert np.array_equal(pb, [0.5, 0.5])
+    assert np.array_equal(pc, [0.5, 0.5])
 
 
 def test_generalized_rates_real_parts():

@@ -16,6 +16,7 @@ from lambda_spectra.units import khz, mhz
 
 from oracles import doppler_average_trapezoid
 
+EXACT = QuadratureSpec("exact")
 MED30 = Medium(density=2.5e17, length=0.025, wavelength=794.979e-9, ku=mhz(250))
 
 
@@ -210,17 +211,27 @@ class TestEdgeRates:
         # gamma_bc = 0 pumps everything into the dark state
         cfg = preset_config(preset)
         rates = replace(cfg.rates(), gamma_bc=0.0)
-        spec = transmit(rates, cfg.fields(), cfg.medium(), cfg.quadrature(),
+        spec = transmit(rates, cfg.fields(), cfg.medium(), EXACT,
                         SlabConfig(32), self.GRID)
         assert spec.transmission[50] == 1.0
+
+    @pytest.mark.parametrize("quad", [QuadratureSpec("trapezoid", 65),
+                                      EXACT])
+    def test_zero_linewidth_is_transparent(self, quad):
+        # gamma = 0 implies kappa = 0; the trapezoid's kv = 0 node sits at
+        # Delta - kv = 0, where the pumping rate and the Lorentzians are 0/0
+        cfg = preset_config("ne_30torr")
+        spec = transmit(Rates(0.0, 0.0, 1e3), cfg.fields(), cfg.medium(),
+                        quad, SlabConfig(32), self.GRID)
+        assert np.array_equal(spec.transmission, np.ones(self.GRID.size))
+        assert spec.baseline == 1.0
 
     def test_no_drive_is_flat_after_normalize(self):
         # omega_d = 0: a two-level line, flat in delta over +-50 kHz
         cfg = preset_config("ne_30torr")
         f = Fields(omega_d=0.0, omega_p=0.0, big_delta=mhz(300))
-        spec = normalize(transmit(cfg.rates(), f, cfg.medium(),
-                                  cfg.quadrature(), SlabConfig(32),
-                                  self.GRID))
+        spec = normalize(transmit(cfg.rates(), f, cfg.medium(), EXACT,
+                                  SlabConfig(32), self.GRID))
         assert spec.transmission[50] == 1.0
         assert np.max(np.abs(spec.transmission - 1.0)) < 3e-4
 
@@ -229,8 +240,7 @@ class TestEdgeRates:
         rates = replace(cfg.rates(), gamma_bc=0.0)
         f = Fields(omega_d=0.0, omega_p=0.0, big_delta=mhz(300))
         with pytest.raises(DegenerateRates):
-            transmit(rates, f, cfg.medium(), cfg.quadrature(), SlabConfig(32),
-                     self.GRID)
+            transmit(rates, f, cfg.medium(), EXACT, SlabConfig(32), self.GRID)
 
 
 class TestExactKernel:

@@ -5,13 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lambda_spectra import ConfigError, parse_config, preset_config, run_scan
+from lambda_spectra import (ConfigError, initial_guess, parse_config,
+                            preset_config, run_scan)
 from lambda_spectra.cli import main
 from lambda_spectra.csvio import SPECTRUM_HEADER
-from lambda_spectra.scan import (ENV_THREADS, auto_delta_grid, config_text,
-                                 preset_names, scan_point)
+from lambda_spectra.scan import (_SCHEMA, ENV_THREADS, ScanConfig,
+                                 auto_delta_grid, config_text, preset_names,
+                                 scan_point)
 from lambda_spectra.units import mhz
+
+from oracles import grid_refine_fit
 
 CHEAP_CONFIG = """
 [medium]
@@ -38,17 +44,28 @@ start_mhz = 0
 stop_mhz = 1600
 points = 3
 
-[quadrature]
-scheme = gauss_hermite
-node_count = 32
-
-[slabs]
-slab_count = 32
-
 [output]
 directory = out
 write_spectra = true
 """
+
+
+_FLOAT_KEYS = sorted(k for k, (typ, _) in _SCHEMA.items() if typ is float)
+_CHEAP_FLOATS = {k: parse_config(CHEAP_CONFIG).get(*k) for k in _FLOAT_KEYS}
+
+
+@st.composite
+def float_values(draw):
+    """A value for every float key of the schema, valid as a set: the sweep
+    may run below zero, everything else is >= 0, and omega_p <= omega_d."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    drawn = {k: draw(st.floats(**finite) if k[0] == "sweep"
+                     else st.floats(min_value=0.0, **finite))
+             for k in _FLOAT_KEYS}
+    for lo, hi in ((("fields", "omega_p_mhz"), ("fields", "omega_d_mhz")),
+                   (("sweep", "start_mhz"), ("sweep", "stop_mhz"))):
+        drawn[lo], drawn[hi] = sorted((drawn[lo], drawn[hi]))
+    return drawn
 
 
 class TestConfig:
@@ -88,8 +105,12 @@ class TestConfig:
             parse_config(CHEAP_CONFIG.replace("gamma_bc_khz = 0.7",
                                               "gamma_bc_khz = -1"))
 
-    def test_round_trip_through_text(self):
-        cfg = parse_config(CHEAP_CONFIG)
+    @settings(max_examples=200, deadline=None)
+    @given(float_values())
+    @example({**_CHEAP_FLOATS, ("rates", "gamma_deph_mhz"): 150.1234567})
+    def test_round_trip_through_text(self, floats):
+        cfg = ScanConfig(values={**parse_config(CHEAP_CONFIG).values,
+                                 **floats})
         again = parse_config(config_text(cfg))
         assert again.digest() == cfg.digest()
 
@@ -109,19 +130,16 @@ class TestPresets:
         assert not cfg.warning
 
     def test_vacuum_uses_narrow_capable_quadrature(self):
-        # the exact Doppler average resolves a bare radiative line, so no
-        # preset overrides the [quadrature] defaults
+        # every point runs the exact Doppler average, which resolves a bare
+        # radiative line, so quadrature and slabs are not configurable
         cfg = preset_config("vacuum")
         assert cfg.get("rates", "gamma_deph_mhz") == 0.0
         assert cfg.get("rates", "gamma_bc_khz") == 30.0
-        default = parse_config(CHEAP_CONFIG.replace(
-            "scheme = gauss_hermite\nnode_count = 32\n", ""))
-        for name in preset_names():
-            preset = preset_config(name)
-            for key in ("scheme", "node_count", "truncation"):
-                assert (preset.get("quadrature", key)
-                        == default.get("quadrature", key))
-            assert preset.quadrature().scheme == "exact"
+        for section, key in (("quadrature", "scheme"), ("slabs", "slab_count")):
+            for name in preset_names():
+                assert all(s != section for s, _ in preset_config(name).values)
+            with pytest.raises(ConfigError, match="unknown section"):
+                parse_config(CHEAP_CONFIG + f"\n[{section}]\n{key} = 1\n")
 
     def test_ballistic_cell_flagged(self):
         assert preset_config("kr_0.12torr").warning
@@ -157,6 +175,19 @@ class TestScanPipeline:
         assert row.phi == pytest.approx(math.atan2(row.B, row.A), rel=1e-12)
         assert abs(row.phi) > 0.6 * math.pi  # absorption-dominated here
         assert spec.baseline == 1.0
+
+    @pytest.mark.parametrize("preset", ["ne_30torr", "vacuum"])
+    def test_resonant_point_converges(self, preset):
+        # the Delta = 0 EIT line, the paper's starting point: the fit must
+        # terminate on a tolerance and sit at the least-squares optimum
+        spec, row = scan_point(preset_config(preset), 0.0)
+        assert row.converged
+        g = initial_guess(spec)
+        *_, sse_oracle = grid_refine_fit(spec.delta_grid, spec.transmission,
+                                         g.A, g.B, g.C, g.gamma_tilde,
+                                         g.delta0)
+        sse = row.residual_rms**2 * spec.delta_grid.size
+        assert sse <= sse_oracle * (1 + 1e-9)
 
     def test_empty_cell_records_degenerate_fit(self):
         cfg = parse_config(CHEAP_CONFIG.replace("density_cm3 = 2.5e11",
