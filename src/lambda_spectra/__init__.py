@@ -20,7 +20,7 @@ from .errors import (ConfigError, DegenerateRates, DegenerateSpectrum,
                      LambdaSpectraError, NoSignChange, ParseError,
                      QuadratureDivergence, SchemaMismatch, SingularSystem,
                      ZeroBackground)
-from .fitting import FitResult, fit_lineshape, initial_guess, to_polar
+from .fitting import FitResult, fit_lineshape, initial_guess
 from .hanle import (TransitionSigns, ZeemanState, brightness, dark_state,
                     overlap, zeeman_detuning)
 from .model import (DensityMatrix3, Fields, GeneralizedRates, Medium, Rates,

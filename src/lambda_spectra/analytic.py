@@ -70,11 +70,12 @@ class LineshapeParams:
         return gt * (self.A * gt + self.B * x) / (gt * gt + x * x) + self.C
 
     def to_polar(self) -> "PolarForm":
-        return PolarForm(
-            D=math.hypot(self.A, self.B),
-            phi=math.atan2(self.B, self.A),
-            C=self.C,
-        )
+        """(A, B) -> (D, phi); D = hypot, phi = atan2(B, A) in (-pi, pi].
+        (0, 0) maps to (0, 0) by convention."""
+        if self.A == 0.0 and self.B == 0.0:
+            return PolarForm(D=0.0, phi=0.0, C=self.C)
+        return PolarForm(D=math.hypot(self.A, self.B),
+                         phi=math.atan2(self.B, self.A), C=self.C)
 
 
 @dataclass(frozen=True)

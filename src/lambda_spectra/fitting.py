@@ -25,7 +25,7 @@ from .analytic import LineshapeParams, PolarForm
 from .errors import DegenerateSpectrum
 from .propagation import Spectrum
 
-__all__ = ["FitResult", "fit_lineshape", "initial_guess", "to_polar"]
+__all__ = ["FitResult", "fit_lineshape", "initial_guess"]
 
 _TOL = 1e-12  # MINPACK ftol = xtol = gtol
 _MAX_EVALS = 500
@@ -41,14 +41,6 @@ class FitResult:
     converged: bool
     iterations: int
     covariance_diagonal: np.ndarray  # variances of (A, B, C, gt, delta0)
-
-
-def to_polar(a: float, b: float) -> tuple[float, float]:
-    """(A, B) -> (D, phi); D = hypot, phi = atan2(B, A) in (-pi, pi].
-    (0, 0) maps to (0, 0) by convention."""
-    if a == 0.0 and b == 0.0:
-        return 0.0, 0.0
-    return math.hypot(a, b), math.atan2(b, a)
 
 
 def _model(d, theta):
@@ -141,7 +133,6 @@ def fit_lineshape(spectrum: Spectrum) -> FitResult:
     gt = math.exp(lg)
     params = LineshapeParams(A=float(a), B=float(b), C=float(c),
                              gamma_tilde=float(gt), delta0=float(d0))
-    dd, phi = to_polar(params.A, params.B)
     rms = math.sqrt(sse / d.size)
 
     dof = max(d.size - 5, 1)
@@ -155,6 +146,6 @@ def fit_lineshape(spectrum: Spectrum) -> FitResult:
     cov[3] = cov_int[3] * gt * gt  # var(log gt) -> var(gt)
 
     return FitResult(params=params,
-                     polar=PolarForm(D=dd, phi=phi, C=params.C),
+                     polar=params.to_polar(),
                      residual_rms=rms, converged=status in _CONVERGED,
                      iterations=int(info["njev"]), covariance_diagonal=cov)

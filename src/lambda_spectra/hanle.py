@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import hbar, physical_constants
 
-from .units import TWO_PI
-
 __all__ = ["ZeemanState", "TransitionSigns", "TRANSITION_SIGNS",
            "dark_state", "overlap", "brightness", "zeeman_detuning"]
 
@@ -107,8 +105,3 @@ def zeeman_detuning(b_field: float) -> float:
     """Two-photon detuning (rad/s) produced by a longitudinal magnetic
     field (tesla): delta = 2 mu_B B / hbar."""
     return 2.0 * _MU_B * b_field / hbar
-
-
-def zeeman_detuning_khz_per_ut() -> float:
-    """Convenience scale: kHz of two-photon detuning per microtesla."""
-    return zeeman_detuning(1e-6) / (TWO_PI * 1e3)

@@ -18,10 +18,9 @@ Propagation settings are not configurable: every point runs the exact
 Doppler average, with a slab count scaled from the point's background
 depths and capped at 128.
 
-Sweep points are independent; they run on a thread pool capped by
-LAMBDA_SPECTRA_THREADS (0 or unset = auto).  Outputs are byte-deterministic
-for identical configs.  A scan refuses to write into a directory holding
-results from a different config (manifest hash check).
+Outputs are byte-deterministic for identical configs.  A scan refuses to
+write into a directory holding results from a different config (manifest
+hash check).
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ import configparser
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,8 +47,6 @@ from .units import cm, khz, mhz, nm, per_cm3
 
 __all__ = ["ScanConfig", "load_config", "parse_config", "preset_config",
            "preset_names", "auto_delta_grid", "run_scan", "scan_point"]
-
-ENV_THREADS = "LAMBDA_SPECTRA_THREADS"
 
 MANIFEST_NAME = "scan_manifest.json"
 
@@ -140,8 +135,9 @@ def _validate(values: dict, origin: str) -> None:
     def bad(section, key, msg):
         raise ConfigError(f"{origin}: [{section}] {key}: {msg}")
 
-    nonneg = [k for k in _SCHEMA
-              if k[0] in ("medium", "rates", "fields") or k[1].endswith("_khz")]
+    # center_khz stays signed: below Delta = 0 the ac-Stark shift is negative
+    nonneg = [k for k in _SCHEMA if k[0] in ("medium", "rates", "fields")
+              or k == ("delta_grid", "span_khz")]
     for section, key in nonneg:
         if (section, key) in values and isinstance(values[(section, key)], float):
             if values[(section, key)] < 0:
@@ -156,8 +152,11 @@ def _validate(values: dict, origin: str) -> None:
         bad("delta_grid", "points", "grid needs at least 7 points")
     if values[("sweep", "points")] < 1:
         bad("sweep", "points", "sweep needs at least 1 point")
-    if values[("sweep", "stop_mhz")] < values[("sweep", "start_mhz")]:
+    start, stop = values[("sweep", "start_mhz")], values[("sweep", "stop_mhz")]
+    if stop < start:
         bad("sweep", "stop_mhz", "sweep stop must be >= start")
+    if stop == start and values[("sweep", "points")] > 1:
+        bad("sweep", "stop_mhz", "a sweep of several points needs stop > start")
 
 
 def parse_config(text: str, origin: str = "<config>") -> ScanConfig:
@@ -398,17 +397,6 @@ def scan_point(cfg: ScanConfig, big_delta: float) -> tuple[Spectrum, DescriptorR
     return spec, row
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(ENV_THREADS, "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 def run_scan(cfg: ScanConfig, out_dir=None) -> DescriptorCurve:
     """Sweep the one-photon detuning and write descriptor + spectrum CSVs.
 
@@ -430,17 +418,7 @@ def run_scan(cfg: ScanConfig, out_dir=None) -> DescriptorCurve:
     out.mkdir(parents=True, exist_ok=True)
 
     deltas = cfg.sweep_deltas()
-    results: list = [None] * len(deltas)
-    workers = min(_worker_count(), max(1, len(deltas)))
-    if workers == 1:
-        for i, dl in enumerate(deltas):
-            results[i] = scan_point(cfg, float(dl))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(scan_point, cfg, float(dl)): i
-                       for i, dl in enumerate(deltas)}
-            for fut, i in futures.items():
-                results[i] = fut.result()
+    results = [scan_point(cfg, float(dl)) for dl in deltas]
 
     curve = DescriptorCurve(rows=[row for _, row in results])
     curve.validate()

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_spectra import (DescriptorCurve, DescriptorRow, ParseError,
                             SchemaMismatch, Spectrum, export_csv,
                             fit_lineshape, load_spectrum_csv)
 from lambda_spectra.csvio import DESCRIPTOR_HEADER, SPECTRUM_HEADER
-from lambda_spectra.units import mhz
+from lambda_spectra.units import khz, mhz
 
 
 def test_spectrum_round_trip(tmp_path):
@@ -22,6 +24,35 @@ def test_spectrum_round_trip(tmp_path):
     # full printed precision: 12 significant digits
     assert np.max(np.abs(back.delta_grid - grid)) < 1e-11 * np.max(np.abs(grid))
     assert np.max(np.abs(back.transmission - trans)) < 1e-11
+
+
+# half a unit in the 12th significant digit, plus the MHz conversion's
+# rounding; a value that is subnormal in MHz keeps only the float's own
+# resolution there
+_TWELVE_DIGITS = 5e-12 + 1e-15
+_SUBNORMAL_STEP = mhz(np.finfo(float).smallest_subnormal)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.integers(2, 3201), centre_khz=st.floats(-1100.0, 1100.0),
+       half_span_khz=st.floats(50.0, 60000.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_spectrum_round_trip_keeps_twelve_digits(tmp_path_factory, points,
+                                                 centre_khz, half_span_khz,
+                                                 seed):
+    # the presets' auto grids over |Delta| <= 2 GHz have centres within
+    # +-1.05 MHz and half-spans of 52 kHz to 57 MHz; transmissions span
+    # many decades in a thick cell
+    grid = khz(centre_khz) + np.linspace(-khz(half_span_khz),
+                                         khz(half_span_khz), points)
+    rng = np.random.default_rng(seed)
+    trans = rng.uniform(0.0, 1.5, points) * 10.0 ** rng.uniform(-300, 0, points)
+    path = tmp_path_factory.mktemp("prop") / "s.csv"
+    export_csv(Spectrum(delta_grid=grid, transmission=trans), path)
+    back = load_spectrum_csv(path)
+    assert np.all(np.abs(back.delta_grid - grid)
+                  <= _TWELVE_DIGITS * np.abs(grid) + _SUBNORMAL_STEP)
+    assert np.all(np.abs(back.transmission - trans) <= _TWELVE_DIGITS * trans)
 
 
 def test_export_is_byte_deterministic(tmp_path):

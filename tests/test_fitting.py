@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_spectra import (DegenerateSpectrum, LineshapeParams, Spectrum,
-                            fit_lineshape, initial_guess, to_polar)
+                            fit_lineshape, initial_guess)
 from lambda_spectra.fitting import _jacobian, _model
+from lambda_spectra.units import khz
 
 from oracles import grid_refine_fit
 
@@ -192,6 +195,11 @@ class TestGuessAndEdges:
 
 
 def test_to_polar_values():
+    def to_polar(a, b):
+        q = LineshapeParams(A=a, B=b, C=1.0, gamma_tilde=1.0,
+                            delta0=0.0).to_polar()
+        return q.D, q.phi
+
     assert to_polar(1.0, 0.0) == (1.0, 0.0)
     d, phi = to_polar(0.0, -1.0)
     assert d == 1.0 and phi == pytest.approx(-math.pi / 2)
@@ -199,3 +207,26 @@ def test_to_polar_values():
     assert d == pytest.approx(1.0, rel=1e-15)
     assert phi == pytest.approx(math.pi - math.atan(0.8 / 0.6), rel=1e-12)
     assert to_polar(0.0, 0.0) == (0.0, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.integers(801, 3201), width_khz=st.floats(1.0, 300.0),
+       amp=st.floats(0.01, 0.9), phi=st.floats(-math.pi, math.pi),
+       c=st.floats(0.95, 1.05), half_widths=st.floats(15.0, 40.0),
+       centre=st.floats(-0.2, 0.2))
+def test_noiseless_lines_round_trip(points, width_khz, amp, phi, c,
+                                    half_widths, centre):
+    # the ranges of the benchmark's synthetic refit lines: the centre lies
+    # within 20 % of the half-span from the grid's middle
+    gt = khz(width_khz)
+    half = half_widths * gt
+    truth = LineshapeParams(A=amp * math.cos(phi), B=amp * math.sin(phi),
+                            C=c, gamma_tilde=gt, delta0=centre * half)
+    grid = np.linspace(-half, half, points)
+    fit = fit_lineshape(Spectrum(delta_grid=grid, transmission=truth(grid)))
+    assert fit.converged
+    p = fit.params
+    assert max(abs(p.A - truth.A), abs(p.B - truth.B),
+               abs(p.C - truth.C)) <= 1e-6 * amp
+    assert max(abs(p.gamma_tilde - gt),
+               abs(p.delta0 - truth.delta0)) <= 1e-6 * gt

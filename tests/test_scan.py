@@ -12,10 +12,9 @@ from lambda_spectra import (ConfigError, initial_guess, parse_config,
                             preset_config, run_scan)
 from lambda_spectra.cli import main
 from lambda_spectra.csvio import SPECTRUM_HEADER
-from lambda_spectra.scan import (_SCHEMA, ENV_THREADS, ScanConfig,
-                                 auto_delta_grid, config_text, preset_names,
-                                 scan_point)
-from lambda_spectra.units import mhz
+from lambda_spectra.scan import (_SCHEMA, ScanConfig, auto_delta_grid,
+                                 config_text, preset_names, scan_point)
+from lambda_spectra.units import khz, mhz
 
 from oracles import grid_refine_fit
 
@@ -56,15 +55,18 @@ _CHEAP_FLOATS = {k: parse_config(CHEAP_CONFIG).get(*k) for k in _FLOAT_KEYS}
 
 @st.composite
 def float_values(draw):
-    """A value for every float key of the schema, valid as a set: the sweep
-    may run below zero, everything else is >= 0, and omega_p <= omega_d."""
+    """A value for every float key of the schema, valid as a set: the grid
+    centre and the sweep may lie below zero, everything else is >= 0,
+    omega_p <= omega_d, and the sweep's stop exceeds its start."""
     finite = dict(allow_nan=False, allow_infinity=False)
-    drawn = {k: draw(st.floats(**finite) if k[0] == "sweep"
+    drawn = {k: draw(st.floats(**finite) if k == ("delta_grid", "center_khz")
                      else st.floats(min_value=0.0, **finite))
-             for k in _FLOAT_KEYS}
-    for lo, hi in ((("fields", "omega_p_mhz"), ("fields", "omega_d_mhz")),
-                   (("sweep", "start_mhz"), ("sweep", "stop_mhz"))):
-        drawn[lo], drawn[hi] = sorted((drawn[lo], drawn[hi]))
+             for k in _FLOAT_KEYS if k[0] != "sweep"}
+    p, d = ("fields", "omega_p_mhz"), ("fields", "omega_d_mhz")
+    drawn[p], drawn[d] = sorted((drawn[p], drawn[d]))
+    ends = draw(st.lists(st.floats(**finite), min_size=2, max_size=2,
+                         unique=True))
+    drawn["sweep", "start_mhz"], drawn["sweep", "stop_mhz"] = sorted(ends)
     return drawn
 
 
@@ -104,6 +106,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(CHEAP_CONFIG.replace("gamma_bc_khz = 0.7",
                                               "gamma_bc_khz = -1"))
+        with pytest.raises(ConfigError, match="span_khz"):
+            parse_config(CHEAP_CONFIG.replace("mode = auto",
+                                              "mode = auto\nspan_khz = -1"))
+
+    def test_sweep_of_several_points_needs_width(self):
+        flat = CHEAP_CONFIG.replace("start_mhz = 0\nstop_mhz = 1600",
+                                    "start_mhz = 100\nstop_mhz = 100")
+        with pytest.raises(ConfigError, match="stop > start"):
+            parse_config(flat)
+        assert len(parse_config(flat.replace("points = 3", "points = 1"))
+                   .sweep_deltas()) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(float_values())
@@ -189,6 +202,18 @@ class TestScanPipeline:
         sse = row.residual_rms**2 * spec.delta_grid.size
         assert sse <= sse_oracle * (1 + 1e-9)
 
+    def test_explicit_grid_centred_below_zero(self):
+        # below Delta = 0 the ac-Stark shift is negative (-16.5 kHz at
+        # -300 MHz here), so an explicit grid must be able to follow it
+        cfg = parse_config(CHEAP_CONFIG.replace(
+            "mode = auto", "mode = explicit\ncenter_khz = -20\nspan_khz = 50"))
+        spec, row = scan_point(cfg, mhz(-300.0))
+        grid = spec.delta_grid
+        assert grid[grid.size // 2] == pytest.approx(khz(-20.0), rel=1e-12)
+        assert grid[0] == pytest.approx(khz(-70.0), rel=1e-12)
+        assert grid[-1] == pytest.approx(khz(30.0), rel=1e-12)
+        assert row.converged and row.delta0 < 0
+
     def test_empty_cell_records_degenerate_fit(self):
         cfg = parse_config(CHEAP_CONFIG.replace("density_cm3 = 2.5e11",
                                                 "density_cm3 = 0"))
@@ -234,22 +259,10 @@ class TestScanPipeline:
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert (out / "spectrum_000.svg").exists()
 
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch):
+    def test_scans_leave_warning_filters_alone(self, tmp_path):
+        # the process-wide filter list belongs to the caller, so no scan
+        # may push to or pop from it
         cfg = parse_config(CHEAP_CONFIG)
-        monkeypatch.setenv(ENV_THREADS, "1")
-        run_scan(cfg, out_dir=tmp_path / "t1")
-        monkeypatch.setenv(ENV_THREADS, "3")
-        run_scan(cfg, out_dir=tmp_path / "t3")
-        a = (tmp_path / "t1" / "descriptors.csv").read_bytes()
-        b = (tmp_path / "t3" / "descriptors.csv").read_bytes()
-        assert a == b
-
-    def test_threaded_scans_leave_warning_filters_alone(self, tmp_path,
-                                                        monkeypatch):
-        # the process-wide filter list is shared by every thread, so no
-        # pool worker may push to or pop from it
-        cfg = parse_config(CHEAP_CONFIG)
-        monkeypatch.setenv(ENV_THREADS, "2")
         before = list(warnings.filters)
         for i in range(10):
             run_scan(cfg, out_dir=tmp_path / f"r{i}")
@@ -285,6 +298,17 @@ class TestCli:
         malformed = tmp_path / "m.csv"
         malformed.write_text("delta_mhz,transmission\n0,x\n", encoding="utf-8")
         assert main(["fit", str(malformed)]) == 3
+
+    def test_sweep_without_width_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "flat.ini"
+        cfgfile.write_text(CHEAP_CONFIG.replace(
+            "start_mhz = 0\nstop_mhz = 1600", "start_mhz = 100\nstop_mhz = 100"),
+            encoding="utf-8")
+        out = tmp_path / "flat_out"
+        assert main(["validate", str(cfgfile)]) == 2
+        assert main(["run", str(cfgfile), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert "stop > start" in capsys.readouterr().err
 
     def test_presets_and_hanle(self, capsys):
         assert main(["presets"]) == 0
