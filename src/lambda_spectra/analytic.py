@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.optimize import brentq
+
 from .errors import DegenerateRates, NoSignChange
 from .model import Fields, Medium, Rates, population_differences
 
@@ -41,6 +43,9 @@ __all__ = [
     "sign_change_detuning",
     "density_narrowed_width",
 ]
+
+# sign_change_detuning searches A's root on [0, _SIGN_CHANGE_BRACKET*gamma]
+_SIGN_CHANGE_BRACKET = 10.0
 
 
 @dataclass(frozen=True)
@@ -196,45 +201,37 @@ def lineshape_coefficients(rates: Rates, fields: Fields,
             "gamma^2 |omega_d|^4 + gamma_bc^2 Delta^2 (gamma^2+Delta^2) = 0")
     eta = -population_differences(rates, fields)[0]
     kl = medium.kappa_L(rates.gamma_r)
-    a = kl * eta * od2 / g2d2 * (g * od2 * (g * g - dl * dl) - gbc * g2d2**2) / den
+    a = kl * eta * od2 / g2d2 * _a_numerator(dl, g, gbc, od2) / den
     b = -kl * eta * dl / g2d2
     c = 1.0 - kl * eta * g / g2d2
     return a, b, c, eta
 
 
-def sign_change_detuning(rates: Rates, fields: Fields,
-                         bracket_factor: float = 10.0) -> tuple[float, float]:
+def _a_numerator(dl: float, g: float, gbc: float, od2: float) -> float:
+    """Sign-carrying numerator of A; eta and A's denominator are positive
+    wherever A is defined."""
+    g2d2 = g * g + dl * dl
+    return g * od2 * (g * g - dl * dl) - gbc * g2d2**2
+
+
+def sign_change_detuning(rates: Rates, fields: Fields) -> tuple[float, float]:
     """One-photon detuning at which the symmetric amplitude A crosses zero.
 
-    Returns (root, approximation): the root is found by bisection of the
-    A numerator on [0, bracket_factor*gamma] to 1e-9*gamma; the
-    approximation is the closed form gamma - 2*gamma_bc*gamma^2/|omega_d|^2.
-    Raises NoSignChange when A has no positive real root in the bracket.
+    Returns (root, approximation): the root is found by Brent's method on
+    A's numerator over [0, 10*gamma] to 1e-9*gamma; the approximation is the
+    closed form gamma - 2*gamma_bc*gamma^2/|omega_d|^2.  Raises NoSignChange
+    when A has no positive real root in the bracket.
     """
     g, gbc = rates.gamma, rates.gamma_bc
     od2 = fields.omega_d**2
     if od2 <= 0:
         raise DegenerateRates("sign_change_detuning requires omega_d > 0")
-
-    def a_num(dl):
-        # sign-carrying numerator of A (eta and the shared denominator are
-        # positive wherever defined)
-        g2d2 = g * g + dl * dl
-        return g * od2 * (g * g - dl * dl) - gbc * g2d2**2
-
-    lo, hi = 0.0, bracket_factor * g
-    if a_num(lo) <= 0 or a_num(hi) >= 0:
+    hi = _SIGN_CHANGE_BRACKET * g
+    if _a_numerator(0.0, g, gbc, od2) <= 0 or _a_numerator(hi, g, gbc, od2) >= 0:
         raise NoSignChange(
             "symmetric amplitude does not change sign on the bracket "
-            f"[0, {bracket_factor:g}*gamma]")
-    tol = 1e-9 * g
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if a_num(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
+            f"[0, {_SIGN_CHANGE_BRACKET:g}*gamma]")
+    root = brentq(_a_numerator, 0.0, hi, args=(g, gbc, od2), xtol=1e-9 * g)
     approx = g - 2.0 * gbc * g * g / od2
     return root, approx
 
@@ -249,6 +246,8 @@ def density_narrowed_width(medium: Medium, rates: Rates, fields: Fields) -> floa
     The exponential reflects the thinning of the resonant velocity group
     with one-photon detuning; the Delta = 0 prefactor anchors the otherwise
     proportional-only expression.  Valid only near one-photon resonance.
+    Where the exponential leaves the float range (|Delta| beyond about
+    37.7 ku) the width is math.inf.
     """
     g, gr = rates.gamma, rates.gamma_r
     nl = (3.0 / (8.0 * math.pi)) * medium.density * medium.wavelength**2 * medium.length
@@ -258,4 +257,7 @@ def density_narrowed_width(medium: Medium, rates: Rates, fields: Fields) -> floa
     width0 = fields.omega_d**2 / math.sqrt(g * gr) / math.sqrt(nl)
     if medium.ku == 0:
         return width0
-    return width0 * math.exp(fields.big_delta**2 / (2.0 * medium.ku**2))
+    try:
+        return width0 * math.exp(fields.big_delta**2 / (2.0 * medium.ku**2))
+    except OverflowError:
+        return math.inf if width0 else 0.0  # no drive: zero width at any Delta

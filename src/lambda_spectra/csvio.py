@@ -31,13 +31,8 @@ DESCRIPTOR_HEADER = ("delta_1photon_mhz,A,B,C,D,phi_rad,gamma_tilde_khz,"
                      "delta0_khz,residual_rms,converged,gain_flag")
 
 
-def _fmt(x: float) -> str:
-    """12 significant digits, deterministic."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if math.isnan(x):
-        return "nan"
-    return format(float(x), ".12g")
+def _fmt(flag: bool) -> str:
+    return "true" if flag else "false"
 
 
 @dataclass(frozen=True)
@@ -111,19 +106,18 @@ def load_spectrum_csv(path) -> Spectrum:
 
 def _spectrum_lines(spec: Spectrum):
     yield SPECTRUM_HEADER
-    for d, t in zip(spec.delta_grid, spec.transmission):
-        yield f"{_fmt(to_mhz(d))},{_fmt(t)}"
+    for d, t in zip(to_mhz(spec.delta_grid).tolist(),
+                    spec.transmission.tolist()):
+        yield f"{d:.12g},{t:.12g}"
 
 
 def _descriptor_lines(curve: DescriptorCurve):
     yield DESCRIPTOR_HEADER
     for r in curve.rows:
-        yield ",".join([
-            _fmt(to_mhz(r.big_delta)), _fmt(r.A), _fmt(r.B), _fmt(r.C),
-            _fmt(r.D), _fmt(r.phi), _fmt(to_khz(r.gamma_tilde)),
-            _fmt(to_khz(r.delta0)), _fmt(r.residual_rms),
-            _fmt(r.converged), _fmt(r.gain_flag),
-        ])
+        numbers = (to_mhz(r.big_delta), r.A, r.B, r.C, r.D, r.phi,
+                   to_khz(r.gamma_tilde), to_khz(r.delta0), r.residual_rms)
+        yield ",".join([f"{float(x):.12g}" for x in numbers]
+                       + [_fmt(r.converged), _fmt(r.gain_flag)])
 
 
 def export_csv(obj, path) -> None:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import ac_stark_shift
+from .analytic import ac_stark_shift, density_narrowed_width
 from .csvio import DescriptorCurve, DescriptorRow, export_csv
 from .doppler import QuadratureSpec, velocity_nodes
 from .errors import ConfigError, DegenerateSpectrum
@@ -51,6 +51,7 @@ __all__ = ["ScanConfig", "load_config", "parse_config", "preset_config",
 MANIFEST_NAME = "scan_manifest.json"
 
 _MAX_SLABS = 128
+_MAX_GRID_POINTS = 3201
 
 # (section, key) -> (type, default); None default means required
 _SCHEMA = {
@@ -116,21 +117,6 @@ class ScanConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _coerce(section: str, key: str, raw: str):
-    typ, _ = _SCHEMA[(section, key)]
-    try:
-        if typ is bool:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return typ(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
-
-
 def _validate(values: dict, origin: str) -> None:
     def bad(section, key, msg):
         raise ConfigError(f"{origin}: [{section}] {key}: {msg}")
@@ -142,6 +128,16 @@ def _validate(values: dict, origin: str) -> None:
         if (section, key) in values and isinstance(values[(section, key)], float):
             if values[(section, key)] < 0:
                 bad(section, key, "physical values must be >= 0")
+    if not values[("medium", "length_cm")] > 0:
+        bad("medium", "length_cm", "the cell needs length_cm > 0")
+    if not (values[("rates", "gamma_r_mhz")] > 0
+            or values[("rates", "gamma_deph_mhz")] > 0):
+        bad("rates", "gamma_r_mhz",
+            "the optical linewidth gamma_r + gamma_deph must be > 0")
+    if not (values[("fields", "omega_d_mhz")] > 0
+            or values[("rates", "gamma_bc_khz")] > 0):
+        bad("fields", "omega_d_mhz", "no drive and no ground-state relaxation: "
+            "needs omega_d_mhz > 0 or gamma_bc_khz > 0")
     if values[("fields", "omega_p_mhz")] > values[("fields", "omega_d_mhz")]:
         bad("fields", "omega_p_mhz", "weak-probe regime needs omega_p <= omega_d")
     if values[("delta_grid", "mode")] not in ("auto", "explicit"):
@@ -152,11 +148,11 @@ def _validate(values: dict, origin: str) -> None:
         bad("delta_grid", "points", "grid needs at least 7 points")
     if values[("sweep", "points")] < 1:
         bad("sweep", "points", "sweep needs at least 1 point")
-    start, stop = values[("sweep", "start_mhz")], values[("sweep", "stop_mhz")]
-    if stop < start:
-        bad("sweep", "stop_mhz", "sweep stop must be >= start")
-    if stop == start and values[("sweep", "points")] > 1:
-        bad("sweep", "stop_mhz", "a sweep of several points needs stop > start")
+    with np.errstate(all="ignore"):  # an overflowing sweep fails, unwarned
+        rising = np.all(np.diff(ScanConfig(values).sweep_deltas()) > 0)
+    if not rising:
+        bad("sweep", "stop_mhz", "a sweep of several points needs stop > start "
+            "and strictly increasing detunings")
 
 
 def parse_config(text: str, origin: str = "<config>") -> ScanConfig:
@@ -167,6 +163,8 @@ def parse_config(text: str, origin: str = "<config>") -> ScanConfig:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
 
+    getters = {float: cp.getfloat, int: cp.getint, bool: cp.getboolean,
+               str: cp.get}
     values = {}
     known_sections = {s for s, _ in _SCHEMA}
     for section in cp.sections():
@@ -175,7 +173,11 @@ def parse_config(text: str, origin: str = "<config>") -> ScanConfig:
         for key in cp[section]:
             if (section, key) not in _SCHEMA:
                 raise ConfigError(f"{origin}: unknown key [{section}] {key}")
-            values[(section, key)] = _coerce(section, key, cp[section][key])
+            try:
+                values[(section, key)] = getters[_SCHEMA[(section, key)][0]](
+                    section, key)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
 
     for (section, key), (_, default) in _SCHEMA.items():
         if (section, key) not in values:
@@ -296,7 +298,7 @@ def _background_depths(rates: Rates, fields: Fields,
 
 
 def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
-                    base_points: int = 801, max_points: int = 3201,
+                    base_points: int = 801,
                     depths: tuple[float, float] | None = None) -> np.ndarray:
     """Two-photon grid adapted to the resonance at this one-photon detuning.
 
@@ -332,17 +334,14 @@ def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
 
     # narrowest structure the fit may encounter
     w_fit = w_nat
-    if kl > 0 and g > 0:
-        w_density = od2 / math.sqrt(g * kl)
-        if ku > 0:
-            w_density *= math.exp(min(dl * dl / (2 * ku * ku), 50.0))
-        w_fit = min(w_nat, w_density)
+    if kl > 0:
+        w_fit = min(w_nat, density_narrowed_width(medium, rates, fields))
     w_fit = max(w_fit, w_nat / 50.0, 1e-12)
 
     points = base_points
     if span > 0:
         needed = int(math.ceil(12.0 * span / w_fit)) + 1
-        points = int(np.clip(needed, base_points, max_points))
+        points = int(np.clip(needed, base_points, _MAX_GRID_POINTS))
     if points % 2 == 0:
         points += 1
     return d0 + np.linspace(-span, span, points)

@@ -243,6 +243,11 @@ class TestDensityNarrowing:
         w2 = density_narrowed_width(m2, rates, f)
         assert w1 / w2 == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
+    def test_overflow_is_infinite(self):
+        # exp(40^2 / 2) is beyond the float range
+        f = Fields(mhz(2.5), 0.0, 40.0 * MED.ku)
+        assert density_narrowed_width(MED, rates30(), f) == math.inf
+
     def test_anchor_value(self):
         # prefactor anchored to |od|^2 / sqrt(gamma * kappa L)
         rates = rates30()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_spectra import (DegenerateRates, Fields, GeneralizedRates,
                             Medium, Rates, SingularSystem, equation_residual,
@@ -229,6 +231,38 @@ def test_drive_only_populations_at_zero_linewidth():
     pb, pc = drive_only_populations(Rates(0.0, 0.0, 1e3), 1e6, [0.0, 1e6])
     assert np.array_equal(pb, [0.5, 0.5])
     assert np.array_equal(pc, [0.5, 0.5])
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma_r=_decades(6, 8),
+       gamma_deph=st.just(0.0) | _decades(6, 10),
+       gamma_bc=_decades(2, 6),
+       omega_d=st.just(0.0) | _decades(5, 9),
+       big_delta=st.just(0.0) | _decades(4, 11) | _decades(4, 11).map(
+           lambda x: -x))
+def test_drive_only_populations_match_steady_state(gamma_r, gamma_deph,
+                                                   gamma_bc, omega_d,
+                                                   big_delta):
+    # the pipeline's closed-form populations against the full 9x9 steady
+    # state with the probe off
+    rates = Rates(gamma_r=gamma_r, gamma_deph=gamma_deph, gamma_bc=gamma_bc)
+    rho = steady_state(rates, Fields(omega_d, 0.0, big_delta))
+    pb, pc = drive_only_populations(rates, omega_d, big_delta)
+    assert pb == pytest.approx(np.real(rho.rho_bb - rho.rho_aa), abs=1e-9)
+    assert pc == pytest.approx(np.real(rho.rho_cc - rho.rho_aa), abs=1e-9)
+
+
+def test_drive_only_populations_without_ground_relaxation():
+    # gamma_bc = 0: the drive pumps everything into |b>, exactly
+    deltas = [-mhz(2000), -mhz(3), 0.0, mhz(50), mhz(2000)]
+    for rates in (Rates(mhz(3), 0.0, 0.0), Rates(mhz(3), mhz(150), 0.0)):
+        pb, pc = drive_only_populations(rates, mhz(2.5), deltas)
+        assert np.array_equal(pb, np.ones(5))
+        assert np.array_equal(pc, np.zeros(5))
 
 
 def test_generalized_rates_real_parts():

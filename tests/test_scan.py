@@ -1,11 +1,12 @@
 """Config parsing, presets, scan pipeline, CLI, determinism."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lambda_spectra import (ConfigError, initial_guess, parse_config,
@@ -49,6 +50,34 @@ write_spectra = true
 """
 
 
+# configs that passed validation and then crashed a run: the edits to
+# CHEAP_CONFIG and the error they must raise instead
+RUN_CRASHES = [
+    pytest.param([("length_cm = 2.5", "length_cm = 0")],
+                 r"\[medium\] length_cm", id="zero_length"),
+    pytest.param([("omega_d_mhz = 2.5\nomega_p_mhz = 0.5",
+                   "omega_d_mhz = 0\nomega_p_mhz = 0"),
+                  ("gamma_bc_khz = 0.7", "gamma_bc_khz = 0")],
+                 r"\[fields\] omega_d_mhz", id="no_drive_no_relaxation"),
+    pytest.param([("gamma_r_mhz = 3", "gamma_r_mhz = 0"),
+                  ("gamma_deph_mhz = 150", "gamma_deph_mhz = 0")],
+                 r"\[rates\] gamma_r_mhz", id="zero_linewidth"),
+    # np.linspace gives [1, 1, 1]
+    pytest.param([("start_mhz = 0\nstop_mhz = 1600",
+                   "start_mhz = 1\nstop_mhz = 1.0000000000000002")],
+                 r"\[sweep\] stop_mhz: .*stop > start",
+                 id="sweep_below_float_resolution"),
+]
+
+
+def edited(edits):
+    text = CHEAP_CONFIG
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
 _FLOAT_KEYS = sorted(k for k, (typ, _) in _SCHEMA.items() if typ is float)
 _CHEAP_FLOATS = {k: parse_config(CHEAP_CONFIG).get(*k) for k in _FLOAT_KEYS}
 
@@ -56,17 +85,26 @@ _CHEAP_FLOATS = {k: parse_config(CHEAP_CONFIG).get(*k) for k in _FLOAT_KEYS}
 @st.composite
 def float_values(draw):
     """A value for every float key of the schema, valid as a set: the grid
-    centre and the sweep may lie below zero, everything else is >= 0,
-    omega_p <= omega_d, and the sweep's stop exceeds its start."""
+    centre and the sweep may lie below zero, the cell length is > 0,
+    everything else is >= 0, omega_p <= omega_d, there is a drive or a
+    ground-state relaxation, gamma_r + gamma_deph > 0, and the sweep's
+    detunings strictly increase."""
     finite = dict(allow_nan=False, allow_infinity=False)
     drawn = {k: draw(st.floats(**finite) if k == ("delta_grid", "center_khz")
-                     else st.floats(min_value=0.0, **finite))
+                     else st.floats(min_value=0.0, exclude_min=k == (
+                         "medium", "length_cm"), **finite))
              for k in _FLOAT_KEYS if k[0] != "sweep"}
     p, d = ("fields", "omega_p_mhz"), ("fields", "omega_d_mhz")
     drawn[p], drawn[d] = sorted((drawn[p], drawn[d]))
+    assume(drawn[d] > 0 or drawn["rates", "gamma_bc_khz"] > 0)
+    assume(drawn["rates", "gamma_r_mhz"] > 0
+           or drawn["rates", "gamma_deph_mhz"] > 0)
     ends = draw(st.lists(st.floats(**finite), min_size=2, max_size=2,
                          unique=True))
     drawn["sweep", "start_mhz"], drawn["sweep", "stop_mhz"] = sorted(ends)
+    sweep = ScanConfig(values={**parse_config(CHEAP_CONFIG).values, **drawn})
+    with np.errstate(all="ignore"):
+        assume(np.all(np.diff(sweep.sweep_deltas()) > 0))
     return drawn
 
 
@@ -117,6 +155,19 @@ class TestConfig:
             parse_config(flat)
         assert len(parse_config(flat.replace("points = 3", "points = 1"))
                    .sweep_deltas()) == 1
+
+    @pytest.mark.parametrize("edits, error", RUN_CRASHES)
+    def test_configs_that_cannot_run(self, edits, error):
+        with pytest.raises(ConfigError, match=error):
+            parse_config(edited(edits))
+
+    @pytest.mark.parametrize("word, value", [
+        ("true", True), ("yes", True), ("1", True), ("on", True),
+        ("false", False), ("no", False), ("0", False), ("OFF", False)])
+    def test_boolean_spellings(self, word, value):
+        cfg = parse_config(CHEAP_CONFIG.replace("write_spectra = true",
+                                                f"write_spectra = {word}"))
+        assert cfg.get("output", "write_spectra") is value
 
     @settings(max_examples=200, deadline=None)
     @given(float_values())
@@ -309,6 +360,14 @@ class TestCli:
         assert main(["run", str(cfgfile), "--output", str(out)]) == 2
         assert not out.exists()
         assert "stop > start" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edits, error", RUN_CRASHES)
+    def test_configs_that_cannot_run_exit_2(self, tmp_path, capsys, edits,
+                                            error):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(edited(edits), encoding="utf-8")
+        assert main(["validate", str(cfgfile)]) == 2
+        assert re.search(error, capsys.readouterr().err)
 
     def test_presets_and_hanle(self, capsys):
         assert main(["presets"]) == 0
