@@ -9,10 +9,9 @@ harness with CLI (`scan`, `cli`).
 
 __version__ = "0.1.0"
 
-from .analytic import (LineshapeParams, PolarForm, absorption_profile,
-                       ac_stark_shift, density_narrowed_width,
-                       lineshape_coefficients, resonance_width,
-                       sign_change_detuning)
+from .analytic import (LineshapeParams, absorption_profile, ac_stark_shift,
+                       density_narrowed_width, lineshape_coefficients,
+                       resonance_width, sign_change_detuning)
 from .csvio import (DescriptorCurve, DescriptorRow, export_csv,
                     load_spectrum_csv)
 from .doppler import QuadratureSpec, doppler_average

@@ -35,7 +35,6 @@ from .model import Fields, Medium, Rates, population_differences
 
 __all__ = [
     "LineshapeParams",
-    "PolarForm",
     "absorption_profile",
     "ac_stark_shift",
     "resonance_width",
@@ -57,6 +56,8 @@ class LineshapeParams:
 
     A: symmetric amplitude, B: antisymmetric amplitude, C: background level,
     gamma_tilde: effective width (rad/s), delta0: resonance shift (rad/s).
+    D and phi are the polar form A = D cos(phi), B = D sin(phi), derived
+    from (A, B) on every read.
     """
 
     A: float
@@ -74,34 +75,19 @@ class LineshapeParams:
         gt = self.gamma_tilde
         return gt * (self.A * gt + self.B * x) / (gt * gt + x * x) + self.C
 
-    def to_polar(self) -> "PolarForm":
-        """(A, B) -> (D, phi); D = hypot, phi = atan2(B, A) in (-pi, pi].
-        (0, 0) maps to (0, 0) by convention."""
+    @property
+    def D(self) -> float:
+        """Polar magnitude hypot(A, B)."""
+        return math.hypot(self.A, self.B)
+
+    @property
+    def phi(self) -> float:
+        """Polar angle atan2(B, A) in (-pi, pi], with (0, 0) -> 0: 0 is a
+        symmetric transmission peak, +-pi a symmetric absorption peak,
+        +-pi/2 a pure dispersion shape."""
         if self.A == 0.0 and self.B == 0.0:
-            return PolarForm(D=0.0, phi=0.0, C=self.C)
-        return PolarForm(D=math.hypot(self.A, self.B),
-                         phi=math.atan2(self.B, self.A), C=self.C)
-
-
-@dataclass(frozen=True)
-class PolarForm:
-    """Polar decomposition A = D cos(phi), B = D sin(phi).
-
-    phi = 0 is a symmetric transmission peak, phi = +-pi a symmetric
-    absorption peak, phi = +-pi/2 a pure dispersion shape.
-    """
-
-    D: float
-    phi: float
-    C: float
-
-    @property
-    def A(self) -> float:
-        return self.D * math.cos(self.phi)
-
-    @property
-    def B(self) -> float:
-        return self.D * math.sin(self.phi)
+            return 0.0
+        return math.atan2(self.B, self.A)
 
 
 def ac_stark_shift(big_delta: float, omega_d: float, gamma: float) -> float:

@@ -47,12 +47,12 @@ def _cmd_run(args) -> int:
 def _cmd_fit(args) -> int:
     spec = load_spectrum_csv(args.spectrum)
     fit = fit_lineshape(spec)
-    p, q = fit.params, fit.polar
+    p = fit.params
     print(f"A            = {p.A:.6g}")
     print(f"B            = {p.B:.6g}")
     print(f"C            = {p.C:.6g}")
-    print(f"D            = {q.D:.6g}")
-    print(f"phi          = {q.phi:.6g} rad ({q.phi / math.pi:.4f} pi)")
+    print(f"D            = {p.D:.6g}")
+    print(f"phi          = {p.phi:.6g} rad ({p.phi / math.pi:.4f} pi)")
     print(f"gamma_tilde  = {to_khz(p.gamma_tilde):.6g} kHz")
     print(f"delta0       = {to_khz(p.delta0):.6g} kHz")
     print(f"residual rms = {fit.residual_rms:.3g}")

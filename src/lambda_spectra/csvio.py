@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analytic import LineshapeParams
 from .errors import ParseError, SchemaMismatch
 from .propagation import Spectrum
 from .units import mhz, to_khz, to_mhz
@@ -37,19 +38,22 @@ def _fmt(flag: bool) -> str:
 
 @dataclass(frozen=True)
 class DescriptorRow:
-    """Fitted descriptors at one one-photon detuning (internal rad/s)."""
+    """Fitted descriptors at one one-photon detuning (internal rad/s).
+    D and phi follow from (A, B) by `LineshapeParams`' polar rule; a row
+    of NaN amplitudes has NaN D and phi."""
 
     big_delta: float
     A: float
     B: float
     C: float
-    D: float
-    phi: float
     gamma_tilde: float
     delta0: float
     residual_rms: float
     converged: bool
     gain_flag: bool
+
+    D = LineshapeParams.D
+    phi = LineshapeParams.phi
 
 
 @dataclass
@@ -60,13 +64,6 @@ class DescriptorCurve:
         deltas = [r.big_delta for r in self.rows]
         if any(b <= a for a, b in zip(deltas, deltas[1:])):
             raise ValueError("rows must be ordered by big_delta")
-        for r in self.rows:
-            if math.isnan(r.A):
-                continue
-            d = math.hypot(r.A, r.B)
-            phi = math.atan2(r.B, r.A)
-            if abs(d - r.D) > 1e-9 * max(1.0, abs(r.D)) or abs(phi - r.phi) > 1e-9:
-                raise ValueError("polar form inconsistent with (A, B)")
 
 
 def load_spectrum_csv(path) -> Spectrum:
@@ -104,11 +101,10 @@ def load_spectrum_csv(path) -> Spectrum:
     return Spectrum(delta_grid=mhz(1.0) * g, transmission=np.asarray(trans))
 
 
-def _spectrum_lines(spec: Spectrum):
-    yield SPECTRUM_HEADER
-    for d, t in zip(to_mhz(spec.delta_grid).tolist(),
-                    spec.transmission.tolist()):
-        yield f"{d:.12g},{t:.12g}"
+def _spectrum_text(spec: Spectrum) -> str:
+    rows = np.column_stack([to_mhz(spec.delta_grid), spec.transmission])
+    body = ("%.12g,%.12g\n" * len(rows)) % tuple(rows.ravel().tolist())
+    return f"{SPECTRUM_HEADER}\n{body}"
 
 
 def _descriptor_lines(curve: DescriptorCurve):
@@ -123,11 +119,10 @@ def _descriptor_lines(curve: DescriptorCurve):
 def export_csv(obj, path) -> None:
     """Write a Spectrum or DescriptorCurve; byte-deterministic."""
     if isinstance(obj, Spectrum):
-        lines = _spectrum_lines(obj)
+        data = _spectrum_text(obj)
     elif isinstance(obj, DescriptorCurve):
-        lines = _descriptor_lines(obj)
+        data = "\n".join(_descriptor_lines(obj)) + "\n"
     else:
         raise TypeError(f"cannot export {type(obj).__name__}")
-    data = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(data)

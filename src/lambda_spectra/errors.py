@@ -6,7 +6,8 @@ class LambdaSpectraError(Exception):
 
 
 class SingularSystem(LambdaSpectraError):
-    """Steady-state Liouvillian (with trace constraint) is rank deficient.
+    """Steady-state Liouvillian (with trace constraint) is rank deficient,
+    or too ill-conditioned for the solve to bound the state's error.
 
     Signals a degenerate rate configuration, e.g. no decay channel at all,
     for which the steady state is not unique.

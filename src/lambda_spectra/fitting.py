@@ -8,9 +8,8 @@ to transmission data by MINPACK's Levenberg-Marquardt (More 1978, "The
 Levenberg-Marquardt algorithm: implementation and theory"; `lmder` through
 `scipy.optimize.leastsq`, with MINPACK's Jacobian-based variable scaling)
 with the analytic Jacobian, started from `initial_guess`.  The width gt
-is kept positive through an internal log parameterization.  Descriptors
-are reported both Cartesian (A, B) and polar (D, phi), phi = atan2(B, A)
-in (-pi, pi].
+is kept positive through an internal log parameterization.  The fitted
+`LineshapeParams` carry (A, B) and derive the polar form (D, phi) from it.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import leastsq
 
-from .analytic import LineshapeParams, PolarForm
+from .analytic import LineshapeParams
 from .errors import DegenerateSpectrum
 from .propagation import Spectrum
 
@@ -36,7 +35,6 @@ _FLAT_VARIANCE = 1e-12
 @dataclass(frozen=True)
 class FitResult:
     params: LineshapeParams
-    polar: PolarForm
     residual_rms: float
     converged: bool
     iterations: int
@@ -113,8 +111,12 @@ def fit_lineshape(spectrum: Spectrum) -> FitResult:
     iterate is returned with converged=False.  iterations counts MINPACK's
     iterations (its Jacobian evaluations).  Raises DegenerateSpectrum for
     flat input.  The covariance diagonal is the Gauss-Newton estimate
-    sigma^2 * diag((J^T J)^-1) at the final point, in the external
-    (A, B, C, gamma_tilde, delta0) parameterization.
+    sigma^2 * diag((J^T J)^-1) at the final point, sigma^2 = SSE / (n - 5),
+    in the external (A, B, C, gamma_tilde, delta0) parameterization.
+    (J^T J)^-1 is `leastsq`'s cov_x, R^-1 R^-T from MINPACK's pivoted QR
+    factor of J.  It never forms J^T J, whose squared condition number
+    loses whole directions on wide lines.  cov_x is absent when MINPACK
+    did not converge or R is singular; the covariance is then NaN.
     """
     d = np.asarray(spectrum.delta_grid, dtype=float)
     t = np.asarray(spectrum.transmission, dtype=float)
@@ -123,7 +125,7 @@ def fit_lineshape(spectrum: Spectrum) -> FitResult:
 
     g0 = initial_guess(spectrum)
     theta0 = np.array([g0.A, g0.B, g0.C, math.log(g0.gamma_tilde), g0.delta0])
-    theta, _, info, _, status = leastsq(
+    theta, cov_x, info, _, status = leastsq(
         lambda th: _model(d, th) - t, theta0,
         Dfun=lambda th: _jacobian(d, th).T, col_deriv=True, full_output=True,
         ftol=_TOL, xtol=_TOL, gtol=_TOL, maxfev=_MAX_EVALS)
@@ -135,17 +137,12 @@ def fit_lineshape(spectrum: Spectrum) -> FitResult:
                              gamma_tilde=float(gt), delta0=float(d0))
     rms = math.sqrt(sse / d.size)
 
-    dof = max(d.size - 5, 1)
-    sigma2 = sse / dof
-    jac = _jacobian(d, theta)
-    try:
-        cov_int = sigma2 * np.diag(np.linalg.pinv(jac.T @ jac))
-    except np.linalg.LinAlgError:
-        cov_int = np.full(5, np.nan)
-    cov = cov_int.copy()
-    cov[3] = cov_int[3] * gt * gt  # var(log gt) -> var(gt)
+    if cov_x is None:
+        cov = np.full(5, np.nan)
+    else:
+        cov = sse / (d.size - 5) * np.diag(cov_x)
+        cov[3] *= gt * gt  # var(log gt) -> var(gt)
 
-    return FitResult(params=params,
-                     polar=params.to_polar(),
-                     residual_rms=rms, converged=status in _CONVERGED,
+    return FitResult(params=params, residual_rms=rms,
+                     converged=status in _CONVERGED,
                      iterations=int(info["njev"]), covariance_diagonal=cov)

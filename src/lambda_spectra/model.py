@@ -290,7 +290,7 @@ def equation_residual(rho: DensityMatrix3, rates: Rates, fields: Fields,
     return float(np.max(np.abs(r)) / _scale(rates, fields))
 
 
-_RANK_TOL = 1e-12  # relative to the largest singular value
+_COND_MAX = 1e12  # largest row-equilibrated condition steady_state accepts
 
 
 def steady_state(rates: Rates, fields: Fields,
@@ -303,36 +303,37 @@ def steady_state(rates: Rates, fields: Fields,
     the solution set unchanged.  The result satisfies every original
     equation to the residual tolerance.
 
-    Raises SingularSystem when the constrained Liouvillian is rank
-    deficient (degenerate rate configuration, non-unique steady state).
+    Accuracy.  The state's error is bounded by about cond * eps, where
+    cond is the 2-norm condition number of the row-equilibrated system
+    (an estimate of Skeel's condition, which row scaling leaves unchanged)
+    and eps = 2.2e-16.  Raises SingularSystem when cond exceeds 1e12, where
+    that bound passes 2.2e-4, and so when the system is rank deficient
+    (non-unique steady state).  Near gamma_bc = 0, with optical pumping
+    slow against the largest rate, a state can meet the residual tolerance
+    and still be wrong: by 6.7e-5 at gamma_r = 2pi 3 MHz, gamma_bc = 0,
+    omega_d = 2pi 1 kHz, Delta = 2pi 2 GHz (cond 6.3e12).
     """
     if rates.gamma_r <= 0 and rates.gamma_bc <= 0:
         raise SingularSystem(
             "gamma_r and gamma_bc both zero: steady state is not unique")
 
     s = _scale(rates, fields)
-    L = _liouvillian_rows(rates, fields, drive_phase, probe_phase) / s
-    A = L.copy()
+    A = _liouvillian_rows(rates, fields, drive_phase, probe_phase) / s
     A[_IDX[_A, _A], :] = 0.0
     A[_IDX[_A, _A], [_IDX[_A, _A], _IDX[_B, _B], _IDX[_C, _C]]] = 1.0
     b = np.zeros(9, dtype=complex)
     b[_IDX[_A, _A]] = 1.0
 
-    def _rank_deficient() -> bool:
-        full = np.vstack([L, A[_IDX[_A, _A]]])
-        sv = np.linalg.svd(full, compute_uv=False)
-        return sv[-1] < _RANK_TOL * sv[0]
-
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        raise SingularSystem("steady-state system is singular") from None
+    norms = np.linalg.norm(A, axis=1)
+    sv = np.linalg.svd(A / np.where(norms > 0, norms, 1.0)[:, None],
+                       compute_uv=False)
+    if not sv[-1] * _COND_MAX >= sv[0]:
+        raise SingularSystem("steady-state system is singular or too "
+                             f"ill-conditioned (condition > {_COND_MAX:g})")
+    x = np.linalg.solve(A, b)
 
     rho = DensityMatrix3(matrix=x.reshape(3, 3))
     if equation_residual(rho, rates, fields, drive_phase, probe_phase) > 1e-8:
-        if _rank_deficient():
-            raise SingularSystem(
-                "steady-state system is rank deficient beyond tolerance")
         raise SingularSystem(
             "steady-state solve did not meet the residual tolerance")
     return rho

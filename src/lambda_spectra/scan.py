@@ -121,6 +121,9 @@ def _validate(values: dict, origin: str) -> None:
     def bad(section, key, msg):
         raise ConfigError(f"{origin}: [{section}] {key}: {msg}")
 
+    for (section, key), value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            bad(section, key, f"must be finite, got {value}")
     # center_khz stays signed: below Delta = 0 the ac-Stark shift is negative
     nonneg = [k for k in _SCHEMA if k[0] in ("medium", "rates", "fields")
               or k == ("delta_grid", "span_khz")]
@@ -128,8 +131,8 @@ def _validate(values: dict, origin: str) -> None:
         if (section, key) in values and isinstance(values[(section, key)], float):
             if values[(section, key)] < 0:
                 bad(section, key, "physical values must be >= 0")
-    if not values[("medium", "length_cm")] > 0:
-        bad("medium", "length_cm", "the cell needs length_cm > 0")
+    if not ScanConfig(values).medium().length > 0:
+        bad("medium", "length_cm", "the cell needs a length > 0 in metres")
     if not (values[("rates", "gamma_r_mhz")] > 0
             or values[("rates", "gamma_deph_mhz")] > 0):
         bad("rates", "gamma_r_mhz",
@@ -382,17 +385,17 @@ def scan_point(cfg: ScanConfig, big_delta: float) -> tuple[Spectrum, DescriptorR
 
     try:
         fit = fit_lineshape(spec)
+        p = fit.params
         row = DescriptorRow(
-            big_delta=big_delta, A=fit.params.A, B=fit.params.B,
-            C=fit.params.C, D=fit.polar.D, phi=fit.polar.phi,
-            gamma_tilde=fit.params.gamma_tilde, delta0=fit.params.delta0,
+            big_delta=big_delta, A=p.A, B=p.B, C=p.C,
+            gamma_tilde=p.gamma_tilde, delta0=p.delta0,
             residual_rms=fit.residual_rms, converged=fit.converged,
             gain_flag=gain)
     except DegenerateSpectrum:
         row = DescriptorRow(
             big_delta=big_delta, A=math.nan, B=math.nan, C=math.nan,
-            D=math.nan, phi=math.nan, gamma_tilde=math.nan, delta0=math.nan,
-            residual_rms=0.0, converged=False, gain_flag=gain)
+            gamma_tilde=math.nan, delta0=math.nan, residual_rms=0.0,
+            converged=False, gain_flag=gain)
     return spec, row
 
 

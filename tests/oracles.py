@@ -103,3 +103,28 @@ def grid_refine_fit(delta, trans, a, b, c, gt, d0, rounds=60):
             if step < 1e-12:
                 break
     return theta[0], theta[1], theta[2], float(np.exp(theta[3])), theta[4], best
+
+
+def lineshape_covariance(delta, trans, a, b, c, gt, d0):
+    """Gauss-Newton variances sigma^2 diag((J^T J)^-1) of the lineshape's
+    (A, B, C, gamma_tilde, delta0) at the given point, sigma^2 = SSE/(n-5).
+
+    J is differentiated in those five parameters directly, its columns are
+    scaled to unit norm (J = Js S), and Js = QR; then (J^T J)^-1 =
+    S^-1 R^-1 R^-T S^-1, without ever forming J^T J.
+    """
+    x = delta - d0
+    den = gt * gt + x * x
+    num = gt * (a * gt + b * x)
+    jac = np.column_stack([
+        gt * gt / den,
+        gt * x / den,
+        np.ones_like(x),
+        ((2.0 * a * gt + b * x) * den - 2.0 * gt * num) / den**2,
+        -(b * gt * den - 2.0 * x * num) / den**2,
+    ])
+    resid = num / den + c - trans
+    sigma2 = float(resid @ resid) / (delta.size - 5)
+    scale = np.linalg.norm(jac, axis=0)
+    rinv = np.linalg.inv(np.linalg.qr(jac / scale, mode="r"))
+    return sigma2 * np.sum(rinv**2, axis=1) / scale**2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lambda_spectra import (DegenerateRates, Fields, LineshapeParams, Medium,
-                            NoSignChange, PolarForm, Rates,
+                            NoSignChange, Rates,
                             absorption_profile, ac_stark_shift,
                             density_narrowed_width, lineshape_coefficients,
                             resonance_width, sign_change_detuning,
@@ -264,12 +264,13 @@ class TestPolar:
             a, b = rng.normal(size=2) * 10 ** rng.uniform(-6, 6)
             p = LineshapeParams(A=a, B=b, C=rng.normal(),
                                 gamma_tilde=10 ** rng.uniform(-3, 8),
-                                delta0=rng.normal()).to_polar()
-            assert p.A == pytest.approx(a, rel=1e-12, abs=1e-300)
-            assert p.B == pytest.approx(b, rel=1e-12, abs=1e-300)
+                                delta0=rng.normal())
+            assert p.D * math.cos(p.phi) == pytest.approx(a, rel=1e-12,
+                                                          abs=1e-300)
+            assert p.D * math.sin(p.phi) == pytest.approx(b, rel=1e-12,
+                                                          abs=1e-300)
 
     def test_polar_angles(self):
-        assert PolarForm(D=1.0, phi=0.0, C=0.0).A == 1.0
         p = LineshapeParams(A=0.0, B=-1.0, C=0.0, gamma_tilde=1.0,
-                            delta0=0.0).to_polar()
+                            delta0=0.0)
         assert p.D == 1.0 and p.phi == pytest.approx(-math.pi / 2)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_spectra import (DescriptorCurve, DescriptorRow, ParseError,
-                            SchemaMismatch, Spectrum, export_csv,
+from lambda_spectra import (DescriptorCurve, DescriptorRow, LineshapeParams,
+                            ParseError, SchemaMismatch, Spectrum, export_csv,
                             fit_lineshape, load_spectrum_csv)
 from lambda_spectra.csvio import DESCRIPTOR_HEADER, SPECTRUM_HEADER
 from lambda_spectra.units import khz, mhz
@@ -103,22 +103,20 @@ def test_dispersion_fixture_fits_as_quarter_turn(tmp_path):
         encoding="utf-8")
     fit = fit_lineshape(load_spectrum_csv(p))
     assert fit.converged
-    assert fit.polar.phi == pytest.approx(math.pi / 2, abs=0.02)
+    assert fit.params.phi == pytest.approx(math.pi / 2, abs=0.02)
 
 
 def test_descriptor_curve_round_trip(tmp_path):
     rows = [
-        DescriptorRow(big_delta=mhz(0), A=1.5, B=0.0, C=1.0, D=1.5, phi=0.0,
+        DescriptorRow(big_delta=mhz(0), A=1.5, B=0.0, C=1.0,
                       gamma_tilde=mhz(0.04), delta0=0.0, residual_rms=1e-3,
                       converged=True, gain_flag=False),
         DescriptorRow(big_delta=mhz(100), A=-0.5, B=-0.5, C=1.0,
-                      D=math.hypot(0.5, 0.5), phi=math.atan2(-0.5, -0.5),
                       gamma_tilde=mhz(0.01), delta0=mhz(0.002),
                       residual_rms=2e-3, converged=True, gain_flag=False),
         DescriptorRow(big_delta=mhz(200), A=math.nan, B=math.nan, C=math.nan,
-                      D=math.nan, phi=math.nan, gamma_tilde=math.nan,
-                      delta0=math.nan, residual_rms=0.0, converged=False,
-                      gain_flag=False),
+                      gamma_tilde=math.nan, delta0=math.nan,
+                      residual_rms=0.0, converged=False, gain_flag=False),
     ]
     curve = DescriptorCurve(rows=rows)
     curve.validate()
@@ -132,9 +130,13 @@ def test_descriptor_curve_round_trip(tmp_path):
     assert lines[3].split(",")[9] == "false"
 
 
-def test_descriptor_polar_consistency_checked():
-    rows = [DescriptorRow(big_delta=0.0, A=1.0, B=0.0, C=1.0, D=2.0, phi=0.0,
-                          gamma_tilde=1.0, delta0=0.0, residual_rms=0.0,
-                          converged=True, gain_flag=False)]
-    with pytest.raises(ValueError):
-        DescriptorCurve(rows=rows).validate()
+
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.6, 0.8),
+                                  (math.nan, math.nan)])
+def test_descriptor_row_polar_form_is_the_lineshape_rule(a, b):
+    row = DescriptorRow(big_delta=0.0, A=a, B=b, C=1.0, gamma_tilde=1.0,
+                        delta0=0.0, residual_rms=0.0, converged=True,
+                        gain_flag=False)
+    params = LineshapeParams(A=a, B=b, C=1.0, gamma_tilde=1.0, delta0=0.0)
+    np.testing.assert_array_equal([row.D, row.phi], [params.D, params.phi])
+    assert math.isnan(row.phi) == math.isnan(a)

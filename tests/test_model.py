@@ -96,6 +96,15 @@ class TestSteadyState:
             steady_state(Rates(gamma_r=mhz(3), gamma_deph=0.0, gamma_bc=0.0),
                          Fields(omega_d=0.0, omega_p=0.0))
 
+    def test_slow_pumping_without_ground_relaxation_raises(self):
+        # the exact state is |b>; pumping at about 4e-16 of the largest
+        # rate leaves the solve 6.7e-5 off it with a residual inside
+        # tolerance, so the condition estimate must refuse the point
+        with pytest.raises(SingularSystem, match="ill-conditioned"):
+            steady_state(Rates(gamma_r=mhz(3), gamma_deph=0.0, gamma_bc=0.0),
+                         Fields(omega_d=khz(1), omega_p=0.0,
+                                big_delta=mhz(2000)))
+
 
 class TestSusceptibility:
     def test_two_level_limit(self):

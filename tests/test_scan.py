@@ -67,6 +67,16 @@ RUN_CRASHES = [
                    "start_mhz = 1\nstop_mhz = 1.0000000000000002")],
                  r"\[sweep\] stop_mhz: .*stop > start",
                  id="sweep_below_float_resolution"),
+    pytest.param([("density_cm3 = 2.5e11", "density_cm3 = nan")],
+                 r"\[medium\] density_cm3: must be finite", id="nan_density"),
+    pytest.param([("ku_mhz = 250", "ku_mhz = nan")],
+                 r"\[medium\] ku_mhz: must be finite", id="nan_doppler_width"),
+    pytest.param([("gamma_bc_khz = 0.7", "gamma_bc_khz = inf")],
+                 r"\[rates\] gamma_bc_khz: must be finite",
+                 id="infinite_ground_relaxation"),
+    # 1e-323 cm is 0 m
+    pytest.param([("length_cm = 2.5", "length_cm = 1e-323")],
+                 r"\[medium\] length_cm", id="length_underflows_to_zero"),
 ]
 
 
@@ -85,9 +95,9 @@ _CHEAP_FLOATS = {k: parse_config(CHEAP_CONFIG).get(*k) for k in _FLOAT_KEYS}
 @st.composite
 def float_values(draw):
     """A value for every float key of the schema, valid as a set: the grid
-    centre and the sweep may lie below zero, the cell length is > 0,
-    everything else is >= 0, omega_p <= omega_d, there is a drive or a
-    ground-state relaxation, gamma_r + gamma_deph > 0, and the sweep's
+    centre and the sweep may lie below zero, the cell length is > 0 in
+    metres, everything else is >= 0, omega_p <= omega_d, there is a drive
+    or a ground-state relaxation, gamma_r + gamma_deph > 0, and the sweep's
     detunings strictly increase."""
     finite = dict(allow_nan=False, allow_infinity=False)
     drawn = {k: draw(st.floats(**finite) if k == ("delta_grid", "center_khz")
@@ -103,6 +113,7 @@ def float_values(draw):
                          unique=True))
     drawn["sweep", "start_mhz"], drawn["sweep", "stop_mhz"] = sorted(ends)
     sweep = ScanConfig(values={**parse_config(CHEAP_CONFIG).values, **drawn})
+    assume(sweep.medium().length > 0)
     with np.errstate(all="ignore"):
         assume(np.all(np.diff(sweep.sweep_deltas()) > 0))
     return drawn
