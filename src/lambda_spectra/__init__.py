@@ -16,13 +16,13 @@ from .csvio import (DescriptorCurve, DescriptorRow, export_csv,
                     load_spectrum_csv)
 from .doppler import QuadratureSpec, doppler_average
 from .errors import (ConfigError, DegenerateRates, DegenerateSpectrum,
-                     LambdaSpectraError, NoSignChange, ParseError,
-                     QuadratureDivergence, SchemaMismatch, SingularSystem,
-                     ZeroBackground)
+                     LambdaSpectraError, NonPhysicalValue, NoSignChange,
+                     ParseError, QuadratureDivergence, SchemaMismatch,
+                     SingularSystem, ZeroBackground)
 from .fitting import FitResult, fit_lineshape, initial_guess
 from .hanle import (TransitionSigns, ZeemanState, brightness, dark_state,
                     overlap, zeeman_detuning)
-from .model import (DensityMatrix3, Fields, GeneralizedRates, Medium, Rates,
+from .model import (DensityMatrix3, Fields, Medium, Rates,
                     drive_only_populations, equation_residual,
                     population_differences, steady_state,
                     susceptibility_analytic, susceptibility_numeric,

@@ -35,6 +35,7 @@ from .model import Fields, Medium, Rates, population_differences
 
 __all__ = [
     "LineshapeParams",
+    "lineshape",
     "absorption_profile",
     "ac_stark_shift",
     "resonance_width",
@@ -47,12 +48,19 @@ __all__ = [
 _SIGN_CHANGE_BRACKET = 10.0
 
 
+def lineshape(delta, A, B, C, gt, d0):
+    """The empirical resonance lineshape, the one formula the package fits:
+
+        f(delta) = gt (A gt + B (delta - d0)) / (gt^2 + (delta - d0)^2) + C
+    """
+    x = delta - d0
+    return gt * (A * gt + B * x) / (gt * gt + x * x) + C
+
+
 @dataclass(frozen=True)
 class LineshapeParams:
-    """Parameters of the empirical resonance lineshape
-
-        f(delta) = gamma_tilde * (A*gamma_tilde + B*(delta - delta0))
-                   / (gamma_tilde^2 + (delta - delta0)^2) + C
+    """Parameters of the empirical resonance `lineshape`, which calling
+    them evaluates with gt = gamma_tilde and d0 = delta0.
 
     A: symmetric amplitude, B: antisymmetric amplitude, C: background level,
     gamma_tilde: effective width (rad/s), delta0: resonance shift (rad/s).
@@ -71,9 +79,8 @@ class LineshapeParams:
             raise ValueError("gamma_tilde must be > 0")
 
     def __call__(self, delta):
-        x = delta - self.delta0
-        gt = self.gamma_tilde
-        return gt * (self.A * gt + self.B * x) / (gt * gt + x * x) + self.C
+        return lineshape(delta, self.A, self.B, self.C, self.gamma_tilde,
+                         self.delta0)
 
     @property
     def D(self) -> float:

@@ -19,6 +19,14 @@ class DegenerateRates(LambdaSpectraError):
     shared denominator vanishes (drive and ground-state decay both absent)."""
 
 
+class NonPhysicalValue(LambdaSpectraError, ValueError):
+    """A rate, Rabi frequency or medium value is negative or not finite."""
+
+    def __init__(self, name: str, value: float):
+        super().__init__(f"{name} must be finite and >= 0, got {value}")
+        self.name = name
+
+
 class NoSignChange(LambdaSpectraError):
     """The symmetric lineshape amplitude has no positive root in the
     bracketing interval (e.g. ground-state decoherence too large)."""

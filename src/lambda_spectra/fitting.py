@@ -1,15 +1,12 @@
 """Least-squares extraction of resonance descriptors from a spectrum.
 
-Fits the empirical lineshape
-
-    f(delta) = gt*(A*gt + B*(delta-delta0))/(gt^2 + (delta-delta0)^2) + C
-
-to transmission data by MINPACK's Levenberg-Marquardt (More 1978, "The
-Levenberg-Marquardt algorithm: implementation and theory"; `lmder` through
-`scipy.optimize.leastsq`, with MINPACK's Jacobian-based variable scaling)
-with the analytic Jacobian, started from `initial_guess`.  The width gt
-is kept positive through an internal log parameterization.  The fitted
-`LineshapeParams` carry (A, B) and derive the polar form (D, phi) from it.
+Fits the empirical `analytic.lineshape` to transmission data by MINPACK's
+Levenberg-Marquardt (More 1978, "The Levenberg-Marquardt algorithm:
+implementation and theory"; `lmder` through `scipy.optimize.leastsq`, with
+MINPACK's Jacobian-based variable scaling) with the analytic Jacobian,
+started from `initial_guess`.  The width gt is kept positive through an
+internal log parameterization.  The fitted `LineshapeParams` carry (A, B)
+and derive the polar form (D, phi) from it.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import leastsq
 
-from .analytic import LineshapeParams
+from .analytic import LineshapeParams, lineshape
 from .errors import DegenerateSpectrum
 from .propagation import Spectrum
 
@@ -43,10 +40,7 @@ class FitResult:
 
 def _model(d, theta):
     a, b, c, lg, d0 = theta
-    gt = math.exp(lg)
-    x = d - d0
-    den = gt * gt + x * x
-    return gt * (a * gt + b * x) / den + c
+    return lineshape(d, a, b, c, math.exp(lg), d0)
 
 
 def _jacobian(d, theta):

@@ -23,8 +23,6 @@ __all__ = ["ZeemanState", "TransitionSigns", "TRANSITION_SIGNS",
 
 _MU_B = physical_constants["Bohr magneton"][0]
 
-TRANSITIONS = ("two_to_one", "two_to_two")
-
 
 @dataclass(frozen=True)
 class ZeemanState:
@@ -64,21 +62,23 @@ TRANSITION_SIGNS = {
     "two_to_one": TransitionSigns(plus=1, minus=-1),
     "two_to_two": TransitionSigns(plus=1, minus=1),
 }
+TRANSITIONS = tuple(TRANSITION_SIGNS)
 
 
-def _check_transition(transition: str) -> None:
-    if transition not in TRANSITIONS:
+def _signs(transition: str) -> TransitionSigns:
+    if transition not in TRANSITION_SIGNS:
         raise ValueError(f"unknown transition {transition!r}; "
                          f"expected one of {TRANSITIONS}")
+    return TRANSITION_SIGNS[transition]
 
 
 def dark_state(transition: str) -> ZeemanState:
-    """The ground superposition decoupled from the given transition:
-    (|+1> + |-1>)/sqrt(2) for F=2->F'=1, (|+1> - |-1>)/sqrt(2) for F=2->F'=2."""
-    _check_transition(transition)
-    s = 1.0 if transition == "two_to_one" else -1.0
+    """The ground superposition decoupled from the given transition,
+    plus c_+ + minus c_- = 0: (|+1> + |-1>)/sqrt(2) for F=2->F'=1,
+    (|+1> - |-1>)/sqrt(2) for F=2->F'=2."""
+    signs = _signs(transition)
     r = 1.0 / math.sqrt(2.0)
-    return ZeemanState(c_plus=r, c_minus=s * r)
+    return ZeemanState(c_plus=r, c_minus=-signs.plus * signs.minus * r)
 
 
 def overlap(s1: ZeemanState, s2: ZeemanState) -> complex:
@@ -94,10 +94,8 @@ def brightness(state: ZeemanState, transition: str,
     |sum_m sign_m c_m| / sqrt(2): zero for the transition's dark state, one
     for the maximally bright (orthogonal) state.
     """
-    _check_transition(transition)
-    if signs is None:
-        signs = TRANSITION_SIGNS[transition]
-    amp = np.dot(signs.pattern(), state.amplitudes())
+    default = _signs(transition)
+    amp = np.dot((signs or default).pattern(), state.amplitudes())
     return float(abs(amp) / math.sqrt(2.0))
 
 

@@ -10,7 +10,18 @@ Unit conversions to/from ordinary MHz happen only at external interfaces
 (see `units`).
 
 Sign convention.  Coherences are matrix elements rho_ij = <i|rho|j> in the
-frame co-rotating with the fields.  Free evolution in this frame is
+frame co-rotating with the fields, where the Hamiltonian over (|a>, |b>, |c>)
+is, with Delta = big_delta, delta = small_delta and phi_p, phi_d the probe
+and drive phases,
+
+        [ -(Delta + delta)        -omega_p e^{i phi_p}   -omega_d e^{i phi_d} ]
+    H = [ -omega_p e^{-i phi_p}    0                      0                   ]
+        [ -omega_d e^{-i phi_d}    0                      -delta              ]
+
+and drho/dt = -i[H, rho] plus relaxation: rho_aa decays at 2 gamma_r and
+feeds rho_bb and rho_cc at gamma_r each, rho_bb and rho_cc exchange at
+gamma_bc, the optical coherences decay at gamma and the ground coherence at
+gamma_bc.  The coherences therefore evolve as
 
     drho_ab/dt = -(gamma   - i(big_delta + small_delta)) rho_ab  + couplings
     drho_ca/dt = -(gamma   + i big_delta)                rho_ca  + couplings
@@ -20,9 +31,7 @@ which makes Im(chi) >= 0 absorption with the standard anomalous-dispersion
 real part, yields exact transparency at two-photon resonance for
 gamma_bc = 0, and cancels the narrow two-photon feature when the two ground
 states are equally populated (no net Raman transfer between equally
-populated levels).  The `GeneralizedRates` values carry the opposite
-rotation sense for Gamma_ab and Gamma_cb; they govern the conjugate
-coherences rho_ba and rho_bc.
+populated levels).
 
 The weak-probe absorption built from `drive_only_populations` and
 `weak_probe_susceptibility` is rational in the velocity-shifted detuning,
@@ -33,18 +42,18 @@ closed form; it is the slab kernel of `propagation`.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .doppler import maxwell_mean_inverse, maxwell_mean_slope
-from .errors import DegenerateRates, SingularSystem
+from .errors import DegenerateRates, NonPhysicalValue, SingularSystem
 
 __all__ = [
     "Rates",
     "Fields",
     "Medium",
-    "GeneralizedRates",
     "DensityMatrix3",
     "steady_state",
     "equation_residual",
@@ -56,9 +65,12 @@ __all__ = [
     "population_differences",
 ]
 
-# index of rho_ij in the flattened unknown vector, levels a, b, c = 0, 1, 2
-_IDX = {(i, j): 3 * i + j for i in range(3) for j in range(3)}
-_A, _B, _C = 0, 1, 2
+
+def _require_magnitudes(obj, names) -> None:
+    """Refuse a negative or non-finite value of any named attribute."""
+    for name in names:
+        if not 0.0 <= getattr(obj, name) < math.inf:
+            raise NonPhysicalValue(name, getattr(obj, name))
 
 
 @dataclass(frozen=True)
@@ -76,9 +88,7 @@ class Rates:
     gamma_bc: float
 
     def __post_init__(self):
-        for name in ("gamma_r", "gamma_deph", "gamma_bc"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        _require_magnitudes(self, ("gamma_r", "gamma_deph", "gamma_bc"))
 
     @property
     def gamma(self) -> float:
@@ -100,8 +110,7 @@ class Fields:
     small_delta: float = 0.0
 
     def __post_init__(self):
-        if self.omega_d < 0 or self.omega_p < 0:
-            raise ValueError("Rabi frequency magnitudes must be >= 0")
+        _require_magnitudes(self, ("omega_d", "omega_p"))
 
 
 @dataclass(frozen=True)
@@ -119,9 +128,7 @@ class Medium:
     ku: float
 
     def __post_init__(self):
-        for name in ("density", "length", "wavelength", "ku"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        _require_magnitudes(self, ("density", "length", "wavelength", "ku"))
 
     def kappa(self, gamma_r: float) -> float:
         return (3.0 / (8.0 * np.pi)) * self.density * self.wavelength**2 * gamma_r
@@ -132,29 +139,6 @@ class Medium:
 
 
 @dataclass(frozen=True)
-class GeneralizedRates:
-    """Complex generalized decay rates.
-
-    As defined, Gamma_ab and Gamma_cb govern the conjugate coherences rho_ba
-    and rho_bc; the equations of motion for rho_ab and rho_cb use their
-    complex conjugates (see module docstring).
-    """
-
-    gamma_ab: complex
-    gamma_ca: complex
-    gamma_cb: complex
-
-    @classmethod
-    def from_params(cls, rates: Rates, fields: Fields) -> "GeneralizedRates":
-        g = rates.gamma
-        return cls(
-            gamma_ab=g + 1j * (fields.big_delta + fields.small_delta),
-            gamma_ca=g + 1j * fields.big_delta,
-            gamma_cb=rates.gamma_bc + 1j * fields.small_delta,
-        )
-
-
-@dataclass(frozen=True)
 class DensityMatrix3:
     """3x3 complex density matrix over (|a>, |b>, |c>)."""
 
@@ -162,30 +146,19 @@ class DensityMatrix3:
 
     @property
     def rho_aa(self) -> complex:
-        return self.matrix[_A, _A]
+        return self.matrix[0, 0]
 
     @property
     def rho_bb(self) -> complex:
-        return self.matrix[_B, _B]
+        return self.matrix[1, 1]
 
     @property
     def rho_cc(self) -> complex:
-        return self.matrix[_C, _C]
+        return self.matrix[2, 2]
 
     @property
     def rho_ab(self) -> complex:
-        return self.matrix[_A, _B]
-
-    @property
-    def rho_ca(self) -> complex:
-        return self.matrix[_C, _A]
-
-    @property
-    def rho_cb(self) -> complex:
-        return self.matrix[_C, _B]
-
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix))
+        return self.matrix[0, 1]
 
     def validate(self, atol: float = 1e-12) -> None:
         m = self.matrix
@@ -193,7 +166,7 @@ class DensityMatrix3:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m) - 1.0) > atol:
             raise ValueError(f"trace deviates from 1 by {abs(np.trace(m)-1.0):.2e}")
-        pops = self.populations()
+        pops = np.real(np.diag(m))
         if np.any(pops < -atol) or np.any(pops > 1.0 + atol):
             raise ValueError(f"populations outside [0, 1]: {pops}")
 
@@ -212,72 +185,24 @@ def _scale(rates: Rates, fields: Fields) -> float:
 
 def _liouvillian_rows(rates: Rates, fields: Fields,
                       drive_phase: float, probe_phase: float) -> np.ndarray:
-    """All nine d(rho_ij)/dt rows as a (9, 9) complex operator."""
-    gr, gbc = rates.gamma_r, rates.gamma_bc
-    g = rates.gamma
-    dl, d2 = fields.big_delta, fields.small_delta
-    od = fields.omega_d * cmath.exp(1j * drive_phase)
-    op = fields.omega_p * cmath.exp(1j * probe_phase)
+    """-i[H, rho] plus relaxation (module docstring) as a (9, 9) complex
+    operator on the row-major flattened rho, rho_ij at index 3 i + j."""
+    d2 = fields.small_delta
+    h = np.diag([-(fields.big_delta + d2), 0.0, -d2]).astype(complex)
+    h[0, 1] = -fields.omega_p * cmath.exp(1j * probe_phase)
+    h[0, 2] = -fields.omega_d * cmath.exp(1j * drive_phase)
+    h[1:, 0] = h[0, 1:].conj()
+    # d rho_ij/dt = -i (H_ik rho_kj - rho_il H_lj) at L[3 i + j, 3 k + l]
+    eye = np.eye(3)
+    L = -1j * (np.einsum("ik,jl->ijkl", h, eye)
+               - np.einsum("ik,jl->ijkl", eye, h.T)).reshape(9, 9)
 
-    L = np.zeros((9, 9), dtype=complex)
-
-    def add(row_ij, col_ij, coeff):
-        L[_IDX[row_ij], _IDX[col_ij]] += coeff
-
-    aa, bb, cc = (_A, _A), (_B, _B), (_C, _C)
-    ab, ba = (_A, _B), (_B, _A)
-    ac, ca = (_A, _C), (_C, _A)
-    bc, cb = (_B, _C), (_C, _B)
-
-    # populations; the aa row is the closed-system counterpart of bb + cc
-    add(aa, aa, -2 * gr)
-    add(aa, ab, -1j * op.conjugate())
-    add(aa, ba, 1j * op)
-    add(aa, ac, -1j * od.conjugate())
-    add(aa, ca, 1j * od)
-
-    add(bb, aa, gr)
-    add(bb, bb, -gbc)
-    add(bb, cc, gbc)
-    add(bb, ab, 1j * op.conjugate())
-    add(bb, ba, -1j * op)
-
-    add(cc, aa, gr)
-    add(cc, cc, -gbc)
-    add(cc, bb, gbc)
-    add(cc, ac, 1j * od.conjugate())
-    add(cc, ca, -1j * od)
-
-    # optical coherences (see module docstring for the rotation sense)
-    add(ab, ab, -(g - 1j * (dl + d2)))
-    add(ab, bb, 1j * op)
-    add(ab, aa, -1j * op)
-    add(ab, cb, 1j * od)
-
-    add(ba, ba, -(g + 1j * (dl + d2)))
-    add(ba, bb, -1j * op.conjugate())
-    add(ba, aa, 1j * op.conjugate())
-    add(ba, bc, -1j * od.conjugate())
-
-    add(ca, ca, -(g + 1j * dl))
-    add(ca, aa, 1j * od.conjugate())
-    add(ca, cc, -1j * od.conjugate())
-    add(ca, cb, -1j * op.conjugate())
-
-    add(ac, ac, -(g - 1j * dl))
-    add(ac, aa, -1j * od)
-    add(ac, cc, 1j * od)
-    add(ac, bc, 1j * op)
-
-    # ground-state coherence
-    add(cb, cb, -(gbc - 1j * d2))
-    add(cb, ca, -1j * op)
-    add(cb, ab, 1j * od.conjugate())
-
-    add(bc, bc, -(gbc + 1j * d2))
-    add(bc, ac, 1j * op.conjugate())
-    add(bc, ba, -1j * od)
-
+    g, gr, gbc = rates.gamma, rates.gamma_r, rates.gamma_bc
+    decay = np.array([[2.0 * gr, g, g], [g, gbc, gbc], [g, gbc, gbc]])
+    L -= np.diag(decay.reshape(9))
+    # population feeds rho_ii -> rho_jj: a -> b, a -> c, c -> b, b -> c
+    for j, i, rate in ((1, 0, gr), (2, 0, gr), (1, 2, gbc), (2, 1, gbc)):
+        L[4 * j, 4 * i] += rate
     return L
 
 
@@ -300,7 +225,8 @@ def steady_state(rates: Rates, fields: Fields,
     All nine d/dt equations are set to zero with the trace constraint
     appended; because the three population equations sum identically to
     zero, the solve replaces the rho_aa row by the trace row, which leaves
-    the solution set unchanged.  The result satisfies every original
+    the solution set unchanged; and the generator maps a Hermitian rho to
+    a Hermitian d rho/dt, so the unique solution is Hermitian.  The result satisfies every original
     equation to the residual tolerance.
 
     Accuracy.  The state's error is bounded by about cond * eps, where
@@ -319,10 +245,7 @@ def steady_state(rates: Rates, fields: Fields,
 
     s = _scale(rates, fields)
     A = _liouvillian_rows(rates, fields, drive_phase, probe_phase) / s
-    A[_IDX[_A, _A], :] = 0.0
-    A[_IDX[_A, _A], [_IDX[_A, _A], _IDX[_B, _B], _IDX[_C, _C]]] = 1.0
-    b = np.zeros(9, dtype=complex)
-    b[_IDX[_A, _A]] = 1.0
+    A[0] = np.eye(3).reshape(9)  # the trace row replaces rho_aa's
 
     norms = np.linalg.norm(A, axis=1)
     sv = np.linalg.svd(A / np.where(norms > 0, norms, 1.0)[:, None],
@@ -330,7 +253,7 @@ def steady_state(rates: Rates, fields: Fields,
     if not sv[-1] * _COND_MAX >= sv[0]:
         raise SingularSystem("steady-state system is singular or too "
                              f"ill-conditioned (condition > {_COND_MAX:g})")
-    x = np.linalg.solve(A, b)
+    x = np.linalg.solve(A, np.eye(9)[0])  # trace 1, every other row 0
 
     rho = DensityMatrix3(matrix=x.reshape(3, 3))
     if equation_residual(rho, rates, fields, drive_phase, probe_phase) > 1e-8:

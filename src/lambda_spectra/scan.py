@@ -38,7 +38,7 @@ from . import __version__
 from .analytic import ac_stark_shift, density_narrowed_width
 from .csvio import DescriptorCurve, DescriptorRow, export_csv
 from .doppler import QuadratureSpec, velocity_nodes
-from .errors import ConfigError, DegenerateSpectrum
+from .errors import ConfigError, DegenerateSpectrum, NonPhysicalValue
 from .fitting import fit_lineshape
 from .model import Fields, Medium, Rates, drive_only_populations
 from .propagation import (_EXACT, SlabConfig, Spectrum, _background_alphas,
@@ -125,20 +125,30 @@ def _validate(values: dict, origin: str) -> None:
         if isinstance(value, float) and not math.isfinite(value):
             bad(section, key, f"must be finite, got {value}")
     # center_khz stays signed: below Delta = 0 the ac-Stark shift is negative
-    nonneg = [k for k in _SCHEMA if k[0] in ("medium", "rates", "fields")
-              or k == ("delta_grid", "span_khz")]
-    for section, key in nonneg:
-        if (section, key) in values and isinstance(values[(section, key)], float):
-            if values[(section, key)] < 0:
-                bad(section, key, "physical values must be >= 0")
-    if not ScanConfig(values).medium().length > 0:
+    if values[("delta_grid", "span_khz")] < 0:
+        bad("delta_grid", "span_khz", "must be >= 0")
+    # the values the physics uses must be finite in internal units too; a
+    # physics key is its Rates/Medium/Fields attribute's name and unit
+    cfg = ScanConfig(values)
+    try:
+        rates, medium, fields = cfg.rates(), cfg.medium(), cfg.fields()
+    except NonPhysicalValue as exc:
+        bad(*next(k for k in _SCHEMA if k[1].rsplit("_", 1)[0] == exc.name),
+            exc)
+    if not math.isfinite(fields.omega_d * fields.omega_d):
+        bad("fields", "omega_d_mhz", "omega_d^2 overflows in (rad/s)^2")
+    try:
+        kappa_l = medium.kappa_L(rates.gamma_r)
+    except OverflowError:  # from wavelength**2: float ** raises, * gives inf
+        kappa_l = math.inf
+    if not math.isfinite(kappa_l):
+        bad("medium", "density_cm3", "kappa*L = (3/8pi) N lambda^2 gamma_r L overflows")
+    if not medium.length > 0:
         bad("medium", "length_cm", "the cell needs a length > 0 in metres")
-    if not (values[("rates", "gamma_r_mhz")] > 0
-            or values[("rates", "gamma_deph_mhz")] > 0):
+    if not rates.gamma > 0:
         bad("rates", "gamma_r_mhz",
             "the optical linewidth gamma_r + gamma_deph must be > 0")
-    if not (values[("fields", "omega_d_mhz")] > 0
-            or values[("rates", "gamma_bc_khz")] > 0):
+    if not (fields.omega_d > 0 or rates.gamma_bc > 0):
         bad("fields", "omega_d_mhz", "no drive and no ground-state relaxation: "
             "needs omega_d_mhz > 0 or gamma_bc_khz > 0")
     if values[("fields", "omega_p_mhz")] > values[("fields", "omega_d_mhz")]:
@@ -152,7 +162,7 @@ def _validate(values: dict, origin: str) -> None:
     if values[("sweep", "points")] < 1:
         bad("sweep", "points", "sweep needs at least 1 point")
     with np.errstate(all="ignore"):  # an overflowing sweep fails, unwarned
-        rising = np.all(np.diff(ScanConfig(values).sweep_deltas()) > 0)
+        rising = np.all(np.diff(cfg.sweep_deltas()) > 0)
     if not rising:
         bad("sweep", "stop_mhz", "a sweep of several points needs stop > start "
             "and strictly increasing detunings")

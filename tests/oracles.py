@@ -1,11 +1,15 @@
 """Independent reference implementations used only by the tests.
 
-Deliberately built through different mechanics than the package: the
-steady state via a Kronecker-product superoperator and an SVD null space,
-the velocity average via a dense truncated trapezoid sum, and fit
-refinement via local grid search.  These were written against the model
-definition before the package internals and must not import from them
-beyond plain dataclasses.
+The steady state: `superoperator` builds the Liouvillian the same way the
+package does (-i[H, rho] plus a damping table and population feeds), so
+what stays independent is its separately typed H, damping table and
+feeds, from raw floats rather than the package's dataclasses, and the
+SVD null-space solve in place of the package's trace-constrained linear
+solve.  The sign conventions themselves are checked without this module,
+by `test_model`'s weak-probe test, which holds the exact steady state to
+the pipeline's first-order kernel.  The velocity average is a dense
+truncated trapezoid sum and fit refinement a local grid search.  None of
+this imports from the package internals beyond plain dataclasses.
 """
 
 import numpy as np

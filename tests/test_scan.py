@@ -77,6 +77,17 @@ RUN_CRASHES = [
     # 1e-323 cm is 0 m
     pytest.param([("length_cm = 2.5", "length_cm = 1e-323")],
                  r"\[medium\] length_cm", id="length_underflows_to_zero"),
+    # finite in the config, not in rad/s, 1/m^3 or (rad/s)^2
+    pytest.param([("density_cm3 = 2.5e11", "density_cm3 = 1e305")],
+                 r"\[medium\] density_cm3: .*finite", id="density_overflows"),
+    pytest.param([("omega_d_mhz = 2.5", "omega_d_mhz = 1e303")],
+                 r"\[fields\] omega_d_mhz: .*finite", id="drive_overflows"),
+    pytest.param([("ku_mhz = 250", "ku_mhz = 1e305")],
+                 r"\[medium\] ku_mhz: .*finite",
+                 id="doppler_width_overflows"),
+    pytest.param([("omega_d_mhz = 2.5", "omega_d_mhz = 1e160")],
+                 r"\[fields\] omega_d_mhz: omega_d\^2 overflows",
+                 id="drive_squared_overflows"),
 ]
 
 
@@ -96,13 +107,16 @@ _CHEAP_FLOATS = {k: parse_config(CHEAP_CONFIG).get(*k) for k in _FLOAT_KEYS}
 def float_values(draw):
     """A value for every float key of the schema, valid as a set: the grid
     centre and the sweep may lie below zero, the cell length is > 0 in
-    metres, everything else is >= 0, omega_p <= omega_d, there is a drive
-    or a ground-state relaxation, gamma_r + gamma_deph > 0, and the sweep's
-    detunings strictly increase."""
+    metres, everything else is >= 0, the medium, rate and field values are
+    at most 1e50 (so they, omega_d^2 and kappa*L stay finite in internal
+    units), omega_p <= omega_d, there is a drive or a ground-state
+    relaxation, gamma_r + gamma_deph > 0, and the sweep's detunings
+    strictly increase."""
     finite = dict(allow_nan=False, allow_infinity=False)
     drawn = {k: draw(st.floats(**finite) if k == ("delta_grid", "center_khz")
                      else st.floats(min_value=0.0, exclude_min=k == (
-                         "medium", "length_cm"), **finite))
+                         "medium", "length_cm"), max_value=1e50 if k[0] in (
+                             "medium", "rates", "fields") else None, **finite))
              for k in _FLOAT_KEYS if k[0] != "sweep"}
     p, d = ("fields", "omega_p_mhz"), ("fields", "omega_d_mhz")
     drawn[p], drawn[d] = sorted((drawn[p], drawn[d]))
@@ -152,9 +166,14 @@ class TestConfig:
             parse_config(bad)
 
     def test_negative_physical_value(self):
-        with pytest.raises(ConfigError):
-            parse_config(CHEAP_CONFIG.replace("gamma_bc_khz = 0.7",
-                                              "gamma_bc_khz = -1"))
+        # every medium, rate and field key, named in the error
+        for section, key in _FLOAT_KEYS:
+            if section in ("medium", "rates", "fields"):
+                values = {**parse_config(CHEAP_CONFIG).values,
+                          (section, key): -1.0}
+                with pytest.raises(ConfigError,
+                                   match=rf"\[{section}\] {key}: .*>= 0"):
+                    parse_config(config_text(ScanConfig(values=values)))
         with pytest.raises(ConfigError, match="span_khz"):
             parse_config(CHEAP_CONFIG.replace("mode = auto",
                                               "mode = auto\nspan_khz = -1"))
