@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.constants import hbar, physical_constants
 
 __all__ = ["ZeemanState", "TransitionSigns", "TRANSITION_SIGNS",
@@ -36,9 +35,6 @@ class ZeemanState:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm deviates from 1 by {abs(norm-1.0):.2e}")
 
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.c_plus, self.c_minus], dtype=complex)
-
 
 @dataclass(frozen=True)
 class TransitionSigns:
@@ -50,9 +46,6 @@ class TransitionSigns:
     def __post_init__(self):
         if self.plus not in (1, -1) or self.minus not in (1, -1):
             raise ValueError("sign entries must be +1 or -1")
-
-    def pattern(self) -> np.ndarray:
-        return np.array([self.plus, self.minus], dtype=float)
 
 
 # The two circular components reach the excited m'=0 sublevel with opposite
@@ -87,15 +80,14 @@ def overlap(s1: ZeemanState, s2: ZeemanState) -> complex:
             + complex(s1.c_minus).conjugate() * s2.c_minus)
 
 
-def brightness(state: ZeemanState, transition: str,
-               signs: TransitionSigns | None = None) -> float:
+def brightness(state: ZeemanState, transition: str) -> float:
     """Coupling magnitude of a state to a transition, in [0, 1].
 
     |sum_m sign_m c_m| / sqrt(2): zero for the transition's dark state, one
     for the maximally bright (orthogonal) state.
     """
-    default = _signs(transition)
-    amp = np.dot((signs or default).pattern(), state.amplitudes())
+    signs = _signs(transition)
+    amp = signs.plus * state.c_plus + signs.minus * state.c_minus
     return float(abs(amp) / math.sqrt(2.0))
 
 

@@ -131,7 +131,8 @@ class Medium:
         _require_magnitudes(self, ("density", "length", "wavelength", "ku"))
 
     def kappa(self, gamma_r: float) -> float:
-        return (3.0 / (8.0 * np.pi)) * self.density * self.wavelength**2 * gamma_r
+        lambda2 = self.wavelength * self.wavelength  # inf, not OverflowError
+        return (3.0 / (8.0 * np.pi)) * self.density * lambda2 * gamma_r
 
     def kappa_L(self, gamma_r: float) -> float:
         """Resonant optical-depth scale kappa * length (rad/s)."""
@@ -239,13 +240,9 @@ def steady_state(rates: Rates, fields: Fields,
     and still be wrong: by 6.7e-5 at gamma_r = 2pi 3 MHz, gamma_bc = 0,
     omega_d = 2pi 1 kHz, Delta = 2pi 2 GHz (cond 6.3e12).
     """
-    if rates.gamma_r <= 0 and rates.gamma_bc <= 0:
-        raise SingularSystem(
-            "gamma_r and gamma_bc both zero: steady state is not unique")
-
     s = _scale(rates, fields)
-    A = _liouvillian_rows(rates, fields, drive_phase, probe_phase) / s
-    A[0] = np.eye(3).reshape(9)  # the trace row replaces rho_aa's
+    L = _liouvillian_rows(rates, fields, drive_phase, probe_phase) / s
+    A = np.vstack((np.eye(3).reshape(1, 9), L[1:]))  # trace row for rho_aa's
 
     norms = np.linalg.norm(A, axis=1)
     sv = np.linalg.svd(A / np.where(norms > 0, norms, 1.0)[:, None],
@@ -254,12 +251,10 @@ def steady_state(rates: Rates, fields: Fields,
         raise SingularSystem("steady-state system is singular or too "
                              f"ill-conditioned (condition > {_COND_MAX:g})")
     x = np.linalg.solve(A, np.eye(9)[0])  # trace 1, every other row 0
-
-    rho = DensityMatrix3(matrix=x.reshape(3, 3))
-    if equation_residual(rho, rates, fields, drive_phase, probe_phase) > 1e-8:
+    if np.max(np.abs(L @ x)) > 1e-8:  # `equation_residual` of x
         raise SingularSystem(
             "steady-state solve did not meet the residual tolerance")
-    return rho
+    return DensityMatrix3(matrix=x.reshape(3, 3))
 
 
 def population_differences(rates: Rates, fields: Fields) -> tuple[float, float]:
@@ -285,32 +280,27 @@ def drive_only_populations(rates: Rates, omega_d: float, big_delta):
     """Exact drive-only steady-state population differences.
 
     Rate-equation solution of the drive-saturated lambda system with the
-    probe off.  Returns (Pb, Pc) = (rho_bb - rho_aa, rho_cc - rho_aa),
-    vectorized over big_delta.  Used by the propagation engine; the
-    strong-drive approximation lives in `population_differences`.
+    probe off, (Pb, Pc) = (rho_bb - rho_aa, rho_cc - rho_aa) vectorized
+    over big_delta:
+
+        Pb = (2 gamma_r gamma_bc + R gamma_r) / den,  Pc = 2 gamma_r gamma_bc / den,
+        den = R (3 gamma_bc + gamma_r) + 4 gamma_r gamma_bc
+
+    with the pumping rate R = 2 gamma omega_d^2 / (gamma^2 + Delta^2), 0 at
+    gamma = 0.  No drive gives (1/2, 1/2) and gamma_bc = 0 gives (1, 0).
+    den vanishes exactly where two of R, gamma_r and gamma_bc do, where the
+    steady state is not unique; there it raises DegenerateRates.  The
+    strong-drive approximation is `population_differences`.
     """
     dl = np.asarray(big_delta, dtype=float)
     g, gr, gbc = rates.gamma, rates.gamma_r, rates.gamma_bc
-    od2 = omega_d * omega_d
-    if od2 == 0.0:
-        if gbc <= 0:
-            raise DegenerateRates("no drive and no ground-state relaxation")
-        half = np.full_like(dl, 0.5)
-        return half, half.copy()
-    if gbc == 0.0:
-        # optical pumping empties |c> and |a> completely
-        return np.ones_like(dl), np.zeros_like(dl)
-    # optical pumping rate through the drive transition
-    R = 2.0 * g * od2 / (g * g + dl * dl) if g > 0.0 else np.zeros_like(dl)
-    if np.all(R == 0.0):
-        # zero optical linewidth: no pumping in this rate model (at g = 0
-        # R would be 0/0 for a zero detuning)
-        half = np.full_like(dl, 0.5)
-        return half, half.copy()
-    paa = 1.0 / (3.0 + 4.0 * gr / R + gr / gbc)
-    pb = paa * (2.0 * gr / R + gr / gbc)
-    pc = paa * (2.0 * gr / R)
-    return pb, pc
+    # at g = 0 the formula would be 0/0 for a zero detuning
+    R = 2.0 * g * omega_d**2 / (g * g + dl * dl) if g > 0.0 else 0.0 * dl
+    den = R * (3.0 * gbc + gr) + 4.0 * gr * gbc
+    if np.any(den == 0.0):
+        raise DegenerateRates("two of the pumping rate, gamma_r and gamma_bc "
+                              "are 0: the drive-only state is not unique")
+    return (2.0 * gr * gbc + R * gr) / den, 2.0 * gr * gbc / den
 
 
 def weak_probe_susceptibility(gamma: float, gamma_bc: float, od2,
@@ -405,14 +395,13 @@ def maxwell_absorption(rates: Rates, od2: float, big_delta: float, ku: float,
     Delta = 0 to 1 GHz, pole coincidence included; the tests hold it to
     1e-9.
 
-    Edge rates have their own pole sets, as `drive_only_populations` has
-    its own branches: od2 = 0 gives populations (1/2, 1/2) and the single
-    Gamma_ab pole x0 = -delta - i gamma (DegenerateRates if gamma_bc = 0
-    too); gamma_bc = 0 gives (1, 0) and the single pole x0, with
-    coefficient 0 at delta = 0 where Gamma_cb vanishes.  kappa = 0 absorbs
-    nothing; it covers zero optical width, since gamma >= gamma_r.  Where
-    gamma od2 underflows with gamma > 0, the general set is its own limit
-    (s -> gamma, populations -> 1/2).
+    No drive is the general set's own limit: od2 = 0 makes s = gamma and
+    R = 0, which leaves populations (1/2, 1/2) and the single Gamma_ab pole
+    x0 = -delta - i gamma (DegenerateRates if gamma_bc = 0 too).
+    gamma_bc = 0, where c is infinite, keeps a set of its own: populations
+    (1, 0) and the single pole x0, with coefficient 0 at delta = 0 where
+    Gamma_cb vanishes.  kappa = 0 absorbs nothing; it covers zero optical
+    width, since gamma >= gamma_r.
     """
     g, gr, gbc = rates.gamma, rates.gamma_r, rates.gamma_bc
     if od2 == 0.0 and gbc <= 0.0:
@@ -423,9 +412,6 @@ def maxwell_absorption(rates: Rates, od2: float, big_delta: float, ku: float,
     def mean(p):
         return maxwell_mean_inverse(p, big_delta, ku)
 
-    if od2 == 0.0:
-        half = kappa * 0.5 * (1j * mean(-1j * g)).real
-        return kappa * (0.5j * mean(-delta_grid - 1j * g)).real, half, half
     gcb = gbc - 1j * delta_grid
     if gbc == 0.0:
         dark = delta_grid == 0.0

@@ -52,6 +52,10 @@ MANIFEST_NAME = "scan_manifest.json"
 
 _MAX_SLABS = 128
 _MAX_GRID_POINTS = 3201
+# rad/s: each nonzero rate, drive and Doppler width lies in [_MIN_RATE,
+# _MAX_RATE], and each detuning and kappa*L is at most _MAX_RATE, so the
+# squares, products and ratios the kernel forms of them stay finite and > 0
+_MIN_RATE, _MAX_RATE = 1e-30, 1e30
 
 # (section, key) -> (type, default); None default means required
 _SCHEMA = {
@@ -105,6 +109,11 @@ class ScanConfig:
                       omega_p=mhz(self.get("fields", "omega_p_mhz")),
                       big_delta=big_delta)
 
+    def explicit_grid(self) -> np.ndarray:
+        center = khz(self.get("delta_grid", "center_khz"))
+        span = khz(self.get("delta_grid", "span_khz"))
+        return center + np.linspace(-span, span, self.get("delta_grid", "points"))
+
     def sweep_deltas(self) -> np.ndarray:
         start = self.get("sweep", "start_mhz")
         stop = self.get("sweep", "stop_mhz")
@@ -121,28 +130,32 @@ def _validate(values: dict, origin: str) -> None:
     def bad(section, key, msg):
         raise ConfigError(f"{origin}: [{section}] {key}: {msg}")
 
+    def key_of(name):  # a physics key is its attribute's name and a unit
+        return next(k for k in _SCHEMA if k[1].rsplit("_", 1)[0] == name)
+
     for (section, key), value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             bad(section, key, f"must be finite, got {value}")
     # center_khz stays signed: below Delta = 0 the ac-Stark shift is negative
     if values[("delta_grid", "span_khz")] < 0:
         bad("delta_grid", "span_khz", "must be >= 0")
-    # the values the physics uses must be finite in internal units too; a
-    # physics key is its Rates/Medium/Fields attribute's name and unit
     cfg = ScanConfig(values)
     try:
         rates, medium, fields = cfg.rates(), cfg.medium(), cfg.fields()
     except NonPhysicalValue as exc:
-        bad(*next(k for k in _SCHEMA if k[1].rsplit("_", 1)[0] == exc.name),
-            exc)
-    if not math.isfinite(fields.omega_d * fields.omega_d):
-        bad("fields", "omega_d_mhz", "omega_d^2 overflows in (rad/s)^2")
-    try:
-        kappa_l = medium.kappa_L(rates.gamma_r)
-    except OverflowError:  # from wavelength**2: float ** raises, * gives inf
-        kappa_l = math.inf
-    if not math.isfinite(kappa_l):
-        bad("medium", "density_cm3", "kappa*L = (3/8pi) N lambda^2 gamma_r L overflows")
+        bad(*key_of(exc.name), exc)
+    for obj, name in ((rates, "gamma_r"), (rates, "gamma_deph"),
+                      (rates, "gamma_bc"), (fields, "omega_d"),
+                      (medium, "ku")):
+        value = getattr(obj, name)
+        if value and not _MIN_RATE <= value <= _MAX_RATE:
+            bad(*key_of(name), f"must be 0 or within [{_MIN_RATE:g}, "
+                f"{_MAX_RATE:g}] rad/s, got {value:g} rad/s")
+    kappa_l = medium.kappa_L(rates.gamma_r)
+    if not kappa_l <= _MAX_RATE:
+        bad("medium", "density_cm3", f"kappa*L = (3/8pi) N lambda^2 gamma_r L "
+            f"must be at most {_MAX_RATE:g} rad/s, got {kappa_l:g}: lower it, "
+            "[medium] length_cm or [medium] wavelength_nm")
     if not medium.length > 0:
         bad("medium", "length_cm", "the cell needs a length > 0 in metres")
     if not rates.gamma > 0:
@@ -155,17 +168,23 @@ def _validate(values: dict, origin: str) -> None:
         bad("fields", "omega_p_mhz", "weak-probe regime needs omega_p <= omega_d")
     if values[("delta_grid", "mode")] not in ("auto", "explicit"):
         bad("delta_grid", "mode", "must be 'auto' or 'explicit'")
-    if values[("delta_grid", "mode")] == "explicit" and values[("delta_grid", "span_khz")] <= 0:
-        bad("delta_grid", "span_khz", "explicit grid needs span_khz > 0")
     if values[("delta_grid", "points")] < 7:
         bad("delta_grid", "points", "grid needs at least 7 points")
+    if values[("delta_grid", "mode")] == "explicit" and not (
+            abs(khz(values[("delta_grid", "center_khz")]))
+            + khz(values[("delta_grid", "span_khz")]) <= _MAX_RATE
+            and np.all(np.diff(cfg.explicit_grid()) > 0)):
+        bad("delta_grid", "span_khz", "the explicit grid [delta_grid] "
+            f"center_khz +- span_khz must lie within {_MAX_RATE:g} rad/s and "
+            "strictly increase (span_khz > 0, above float resolution)")
     if values[("sweep", "points")] < 1:
         bad("sweep", "points", "sweep needs at least 1 point")
-    with np.errstate(all="ignore"):  # an overflowing sweep fails, unwarned
-        rising = np.all(np.diff(cfg.sweep_deltas()) > 0)
-    if not rising:
-        bad("sweep", "stop_mhz", "a sweep of several points needs stop > start "
-            "and strictly increasing detunings")
+    ends = [abs(values[("sweep", k)]) for k in ("start_mhz", "stop_mhz")]
+    if not (mhz(max(ends)) <= _MAX_RATE
+            and np.all(np.diff(cfg.sweep_deltas()) > 0)):
+        bad("sweep", "stop_mhz", f"[sweep] start_mhz and stop_mhz must lie "
+            f"within {_MAX_RATE:g} rad/s, and a sweep of several points "
+            "needs stop > start and strictly increasing detunings")
 
 
 def parse_config(text: str, origin: str = "<config>") -> ScanConfig:
@@ -271,8 +290,8 @@ def preset_config(name: str, output_dir: str | None = None) -> ScanConfig:
     else:
         values[("output", "directory")] = f"scan_{name}"
     _validate(values, f"preset:{name}")
-    return ScanConfig(values={k: v for k, v in values.items() if v is not None},
-                      preset=name, warning=_PRESET_WARNINGS.get(name, ""))
+    return ScanConfig(values=values, preset=name,
+                      warning=_PRESET_WARNINGS.get(name, ""))
 
 
 def config_text(cfg: ScanConfig) -> str:
@@ -379,9 +398,7 @@ def scan_point(cfg: ScanConfig, big_delta: float) -> tuple[Spectrum, DescriptorR
     depths = _background_depths(rates, fields, medium)
 
     if cfg.get("delta_grid", "mode") == "explicit":
-        center = khz(cfg.get("delta_grid", "center_khz"))
-        span = khz(cfg.get("delta_grid", "span_khz"))
-        grid = center + np.linspace(-span, span, cfg.get("delta_grid", "points"))
+        grid = cfg.explicit_grid()
     else:
         grid = auto_delta_grid(rates, fields, medium,
                                base_points=cfg.get("delta_grid", "points"),

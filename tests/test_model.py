@@ -1,5 +1,7 @@
 """Steady-state and susceptibility tests against independent oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,12 +283,38 @@ class TestPopulationDifferences:
                                                  big_delta=mhz(5)))
 
 
-def test_drive_only_populations_at_zero_linewidth():
-    # gamma = 0 pumps nothing at any detuning; at zero detuning the
-    # pumping rate's formula is 0/0
-    pb, pc = drive_only_populations(Rates(0.0, 0.0, 1e3), 1e6, [0.0, 1e6])
-    assert np.array_equal(pb, [0.5, 0.5])
-    assert np.array_equal(pc, [0.5, 0.5])
+# every combination of zero and nonzero gamma_r, gamma_deph, gamma_bc and
+# omega_d, on and off one-photon resonance
+EDGE_RATES = [pytest.param(
+    *(0.0 if zero else value for zero, value in zip(
+        zeros, (mhz(3), mhz(50), khz(1), mhz(2.5)))), big_delta,
+    id="-".join(f"{name}{'0' if zero else ''}" for name, zero in zip(
+        ("r", "deph", "bc", "d"), zeros)) + f"-Delta{big_delta / mhz(1):g}MHz")
+    for zeros in itertools.product((False, True), repeat=4)
+    for big_delta in (0.0, mhz(30))]
+
+
+@pytest.mark.parametrize("gamma_r, gamma_deph, gamma_bc, omega_d, big_delta",
+                         EDGE_RATES)
+def test_drive_only_populations_edge_rates(gamma_r, gamma_deph, gamma_bc,
+                                           omega_d, big_delta):
+    # the closed form refuses exactly the states the 9x9 solve refuses as
+    # not unique, where two of the pumping rate (0 at omega_d = 0 or
+    # gamma = 0), gamma_r and gamma_bc vanish; elsewhere the two agree
+    rates = Rates(gamma_r=gamma_r, gamma_deph=gamma_deph, gamma_bc=gamma_bc)
+    pumping = omega_d * rates.gamma
+    degenerate = [pumping, gamma_r, gamma_bc].count(0.0) >= 2
+    try:
+        rho = steady_state(rates, Fields(omega_d, 0.0, big_delta))
+    except SingularSystem:
+        assert degenerate
+        with pytest.raises(DegenerateRates):
+            drive_only_populations(rates, omega_d, big_delta)
+        return
+    assert not degenerate
+    pb, pc = drive_only_populations(rates, omega_d, big_delta)
+    assert pb == pytest.approx(np.real(rho.rho_bb - rho.rho_aa), abs=1e-9)
+    assert pc == pytest.approx(np.real(rho.rho_cc - rho.rho_aa), abs=1e-9)
 
 
 def _decades(lo, hi):

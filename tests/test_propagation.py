@@ -200,8 +200,8 @@ class TestNormalize:
 
 
 class TestEdgeRates:
-    """Degenerate-rate branches of the drive-only populations, reached
-    through transmit and normalize."""
+    """Edge rates of the drive-only populations, reached through transmit
+    and normalize."""
 
     GRID = np.linspace(-khz(50), khz(50), 101)  # GRID[50] == 0
 

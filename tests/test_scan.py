@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lambda_spectra import (ConfigError, initial_guess, parse_config,
-                            preset_config, run_scan)
+from lambda_spectra import (ConfigError, LambdaSpectraError, initial_guess,
+                            parse_config, preset_config, run_scan)
 from lambda_spectra.cli import main
 from lambda_spectra.csvio import SPECTRUM_HEADER
 from lambda_spectra.scan import (_SCHEMA, ScanConfig, auto_delta_grid,
@@ -86,7 +86,7 @@ RUN_CRASHES = [
                  r"\[medium\] ku_mhz: .*finite",
                  id="doppler_width_overflows"),
     pytest.param([("omega_d_mhz = 2.5", "omega_d_mhz = 1e160")],
-                 r"\[fields\] omega_d_mhz: omega_d\^2 overflows",
+                 r"\[fields\] omega_d_mhz: must be 0 or within",
                  id="drive_squared_overflows"),
 ]
 
@@ -103,27 +103,74 @@ _FLOAT_KEYS = sorted(k for k, (typ, _) in _SCHEMA.items() if typ is float)
 _CHEAP_FLOATS = {k: parse_config(CHEAP_CONFIG).get(*k) for k in _FLOAT_KEYS}
 
 
+def _magnitude_sweep():
+    """(base, edits): each float key at magnitudes from subnormal to near
+    overflow, one key at a time on a one-point sweep; the grid centre and
+    the sweep ends take both signs, and the sweep ends also span a
+    two-point sweep."""
+    explicit = {("delta_grid", "mode"): "explicit",
+                ("delta_grid", "span_khz"): 50.0}
+    start, stop = ("sweep", "start_mhz"), ("sweep", "stop_mhz")
+    for m in (1e-320, 1e-300, 1e-200, 1e-100, 1e-30, 1e30, 1e60, 1e100,
+              1e150, 1e200, 1e300, 1e305):
+        for section, key in _FLOAT_KEYS:
+            if section in ("medium", "rates", "fields"):
+                edits = {(section, key): m}
+                if key == "omega_d_mhz":  # keeps omega_p <= omega_d
+                    edits["fields", "omega_p_mhz"] = min(m, 0.5)
+                yield pytest.param({}, edits, id=f"{key}={m:g}")
+        for x in (m, -m):
+            yield pytest.param(explicit, {("delta_grid", "center_khz"): x},
+                               id=f"center_khz={x:g}")
+            yield pytest.param({}, {start: x, stop: x}, id=f"sweep_at={x:g}")
+        yield pytest.param(explicit, {("delta_grid", "span_khz"): m},
+                           id=f"span_khz={m:g}")
+        yield pytest.param({("sweep", "points"): 2}, {start: -m, stop: m},
+                           id=f"sweep_over=+-{m:g}")
+
+
+def _rad_s(lo, hi, unit):
+    """Config values x with lo <= unit(x) <= hi rad/s."""
+    return st.floats(lo / unit(1.0), hi / unit(1.0)).filter(
+        lambda x: lo <= unit(x) <= hi)
+
+
 @st.composite
 def float_values(draw):
     """A value for every float key of the schema, valid as a set: the grid
     centre and the sweep may lie below zero, the cell length is > 0 in
-    metres, everything else is >= 0, the medium, rate and field values are
-    at most 1e50 (so they, omega_d^2 and kappa*L stay finite in internal
-    units), omega_p <= omega_d, there is a drive or a ground-state
-    relaxation, gamma_r + gamma_deph > 0, and the sweep's detunings
-    strictly increase."""
+    metres, everything else is >= 0, the rates, Rabi frequencies and
+    Doppler width are 0 or within [1e-30, 1e30] rad/s, density, length
+    and wavelength are at most 1e50 with kappa*L at most 1e30 rad/s (the
+    density is drawn last, within what the others leave), omega_p <=
+    omega_d, there is a drive or a ground-state relaxation,
+    gamma_r + gamma_deph > 0, and the sweep's detunings lie within 1e30
+    rad/s and strictly increase."""
     finite = dict(allow_nan=False, allow_infinity=False)
-    drawn = {k: draw(st.floats(**finite) if k == ("delta_grid", "center_khz")
-                     else st.floats(min_value=0.0, exclude_min=k == (
-                         "medium", "length_cm"), max_value=1e50 if k[0] in (
-                             "medium", "rates", "fields") else None, **finite))
-             for k in _FLOAT_KEYS if k[0] != "sweep"}
+    density = ("medium", "density_cm3")
+
+    def values_of(k):
+        if k == ("delta_grid", "center_khz"):
+            return st.floats(**finite)
+        if k[0] in ("rates", "fields") or k == ("medium", "ku_mhz"):
+            unit = khz if k[1].endswith("_khz") else mhz
+            return st.just(0.0) | _rad_s(1e-30, 1e30, unit)
+        return st.floats(min_value=0.0, exclude_min=k == ("medium", "length_cm"),
+                         max_value=1e50 if k[0] == "medium" else None, **finite)
+
+    drawn = {k: draw(values_of(k))
+             for k in _FLOAT_KEYS if k[0] != "sweep" and k != density}
+    one_per_cm3 = ScanConfig(values={**parse_config(CHEAP_CONFIG).values,
+                                     **drawn, density: 1.0})
+    per_density = one_per_cm3.medium().kappa_L(one_per_cm3.rates().gamma_r)
+    drawn[density] = draw(st.floats(0.0, min(1e50, 0.5e30 / per_density)
+                                    if per_density > 0 else 1e50))
     p, d = ("fields", "omega_p_mhz"), ("fields", "omega_d_mhz")
     drawn[p], drawn[d] = sorted((drawn[p], drawn[d]))
     assume(drawn[d] > 0 or drawn["rates", "gamma_bc_khz"] > 0)
     assume(drawn["rates", "gamma_r_mhz"] > 0
            or drawn["rates", "gamma_deph_mhz"] > 0)
-    ends = draw(st.lists(st.floats(**finite), min_size=2, max_size=2,
+    ends = draw(st.lists(_rad_s(-1e30, 1e30, mhz), min_size=2, max_size=2,
                          unique=True))
     drawn["sweep", "start_mhz"], drawn["sweep", "stop_mhz"] = sorted(ends)
     sweep = ScanConfig(values={**parse_config(CHEAP_CONFIG).values, **drawn})
@@ -190,6 +237,24 @@ class TestConfig:
     def test_configs_that_cannot_run(self, edits, error):
         with pytest.raises(ConfigError, match=error):
             parse_config(edited(edits))
+
+    @pytest.mark.parametrize("base, edits", _magnitude_sweep())
+    def test_config_magnitudes_are_refused_or_run(self, base, edits):
+        # a value validate accepts must not crash a run: either the config
+        # is refused, naming an edited key, or every sweep point returns
+        # or raises a package error (warnings are errors here)
+        values = {**parse_config(CHEAP_CONFIG).values, ("sweep", "points"): 1,
+                  **base, **edits}
+        try:
+            cfg = parse_config(config_text(ScanConfig(values=values)))
+        except ConfigError as exc:
+            assert any(f"[{s}] {k}" in str(exc) for s, k in edits), exc
+            return
+        for big_delta in cfg.sweep_deltas():
+            try:
+                scan_point(cfg, float(big_delta))
+            except LambdaSpectraError:
+                pass
 
     @pytest.mark.parametrize("word, value", [
         ("true", True), ("yes", True), ("1", True), ("on", True),
