@@ -22,9 +22,8 @@ from .errors import (ConfigError, DegenerateRates, DegenerateSpectrum,
 from .fitting import FitResult, fit_lineshape, initial_guess
 from .hanle import (TransitionSigns, ZeemanState, brightness, dark_state,
                     overlap, zeeman_detuning)
-from .model import (DensityMatrix3, Fields, Medium, Rates,
-                    drive_only_populations, equation_residual,
-                    population_differences, steady_state,
+from .model import (Fields, Medium, Rates, drive_only_populations,
+                    equation_residual, population_differences, steady_state,
                     susceptibility_analytic, susceptibility_numeric,
                     weak_probe_susceptibility)
 from .propagation import (SlabConfig, Spectrum, normalize,

@@ -53,8 +53,8 @@ def write_spectrum_svg(spec, path) -> None:
 
 def write_curve_svg(curve, path) -> None:
     deltas = [to_mhz(r.big_delta) for r in curve.rows]
-    phi = [r.phi / math.pi if math.isfinite(r.phi) else math.nan for r in curve.rows]
-    dd = [r.D for r in curve.rows]
+    phi = [r.params.phi / math.pi for r in curve.rows]
+    dd = [r.params.D for r in curve.rows]
     x = _scale(deltas, _PAD, _W - _PAD)
     parts = _frame("resonance descriptors", "one-photon detuning (MHz)",
                    "phi/pi (blue), D scaled (red)")

@@ -6,9 +6,11 @@ Schemas (UTF-8, LF line endings, decimal point, 12 significant digits):
     descriptor: delta_1photon_mhz,A,B,C,D,phi_rad,gamma_tilde_khz,delta0_khz,
                 residual_rms,converged,gain_flag
 
-Export is byte-deterministic for identical inputs; load rejects wrong
-headers (SchemaMismatch) and malformed or non-monotone rows (ParseError,
-naming the row).
+A descriptor row writes its fitted `LineshapeParams` (D and phi derived
+from A and B) beside its detuning and fit diagnostics.  Export is
+byte-deterministic for identical inputs; load rejects wrong headers
+(SchemaMismatch) and malformed or non-monotone rows (ParseError, naming
+the row), and returns a `Spectrum`, which checks itself when built.
 """
 
 from __future__ import annotations
@@ -32,35 +34,26 @@ DESCRIPTOR_HEADER = ("delta_1photon_mhz,A,B,C,D,phi_rad,gamma_tilde_khz,"
                      "delta0_khz,residual_rms,converged,gain_flag")
 
 
-def _fmt(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 @dataclass(frozen=True)
 class DescriptorRow:
-    """Fitted descriptors at one one-photon detuning (internal rad/s).
-    D and phi follow from (A, B) by `LineshapeParams`' polar rule; a row
-    of NaN amplitudes has NaN D and phi."""
+    """The fitted line at one one-photon detuning (internal rad/s).
+    A row whose spectrum could not be fitted holds all-NaN params, whose
+    D and phi are NaN too."""
 
     big_delta: float
-    A: float
-    B: float
-    C: float
-    gamma_tilde: float
-    delta0: float
+    params: LineshapeParams
     residual_rms: float
     converged: bool
     gain_flag: bool
 
-    D = LineshapeParams.D
-    phi = LineshapeParams.phi
-
 
 @dataclass
 class DescriptorCurve:
+    """Rows strictly ordered by big_delta, checked when built."""
+
     rows: list
 
-    def validate(self) -> None:
+    def __post_init__(self):
         deltas = [r.big_delta for r in self.rows]
         if any(b <= a for a, b in zip(deltas, deltas[1:])):
             raise ValueError("rows must be ordered by big_delta")
@@ -110,10 +103,12 @@ def _spectrum_text(spec: Spectrum) -> str:
 def _descriptor_lines(curve: DescriptorCurve):
     yield DESCRIPTOR_HEADER
     for r in curve.rows:
-        numbers = (to_mhz(r.big_delta), r.A, r.B, r.C, r.D, r.phi,
-                   to_khz(r.gamma_tilde), to_khz(r.delta0), r.residual_rms)
+        p = r.params
+        numbers = (to_mhz(r.big_delta), p.A, p.B, p.C, p.D, p.phi,
+                   to_khz(p.gamma_tilde), to_khz(p.delta0), r.residual_rms)
         yield ",".join([f"{float(x):.12g}" for x in numbers]
-                       + [_fmt(r.converged), _fmt(r.gain_flag)])
+                       + ["true" if f else "false"
+                          for f in (r.converged, r.gain_flag)])
 
 
 def export_csv(obj, path) -> None:

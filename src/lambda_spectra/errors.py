@@ -45,7 +45,7 @@ class ZeroBackground(LambdaSpectraError):
 
 class DegenerateSpectrum(LambdaSpectraError):
     """Input spectrum carries no usable resonance information (flat within
-    numerical noise)."""
+    numerical noise, or too few points to fit)."""
 
 
 class ParseError(LambdaSpectraError):

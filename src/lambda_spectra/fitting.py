@@ -104,9 +104,10 @@ def fit_lineshape(spectrum: Spectrum) -> FitResult:
     the residual) met within 500 model evaluations; otherwise the last
     iterate is returned with converged=False.  iterations counts MINPACK's
     iterations (its Jacobian evaluations).  Raises DegenerateSpectrum for
-    flat input.  The covariance diagonal is the Gauss-Newton estimate
-    sigma^2 * diag((J^T J)^-1) at the final point, sigma^2 = SSE / (n - 5),
-    in the external (A, B, C, gamma_tilde, delta0) parameterization.
+    flat input or fewer than 7 points.  The covariance diagonal is the
+    Gauss-Newton estimate sigma^2 * diag((J^T J)^-1) at the final point,
+    sigma^2 = SSE / (n - 5), in the external (A, B, C, gamma_tilde,
+    delta0) parameterization.
     (J^T J)^-1 is `leastsq`'s cov_x, R^-1 R^-T from MINPACK's pivoted QR
     factor of J.  It never forms J^T J, whose squared condition number
     loses whole directions on wide lines.  cov_x is absent when MINPACK
@@ -115,7 +116,8 @@ def fit_lineshape(spectrum: Spectrum) -> FitResult:
     d = np.asarray(spectrum.delta_grid, dtype=float)
     t = np.asarray(spectrum.transmission, dtype=float)
     if d.size < 7:
-        raise ValueError("need at least 7 grid points to fit 5 parameters")
+        raise DegenerateSpectrum(
+            "need at least 7 grid points to fit 5 parameters")
 
     g0 = initial_guess(spectrum)
     theta0 = np.array([g0.A, g0.B, g0.C, math.log(g0.gamma_tilde), g0.delta0])

@@ -71,6 +71,9 @@ class SlabConfig:
 class Spectrum:
     """Transmission sampled on a two-photon-detuning grid (rad/s).
 
+    Checked when built (ValueError): one shape, a strictly increasing
+    grid, finite transmission.  `transmit` and `normalize` keep T >= 0.
+
     baseline   coherence-free plateau transmission of the same cell (as
                marched by `transmit`); 1.0 once normalized, None if unknown
     gain_flag  grid points where a slab had net probe gain beyond
@@ -87,18 +90,13 @@ class Spectrum:
         self.transmission = np.asarray(self.transmission, dtype=float)
         if self.gain_flag is None:
             self.gain_flag = np.zeros(self.transmission.shape, dtype=bool)
-
-    def validate(self) -> None:
-        if self.delta_grid.shape != self.transmission.shape:
-            raise ValueError("grid/transmission shape mismatch")
-        if self.gain_flag.shape != self.transmission.shape:
-            raise ValueError("gain_flag/transmission shape mismatch")
-        if self.delta_grid.size and np.any(np.diff(self.delta_grid) <= 0):
+        if not (self.delta_grid.shape == self.transmission.shape
+                == self.gain_flag.shape):
+            raise ValueError("grid, transmission and gain_flag shapes differ")
+        if np.any(np.diff(self.delta_grid) <= 0):
             raise ValueError("delta_grid must be strictly increasing")
         if not np.all(np.isfinite(self.transmission)):
             raise ValueError("transmission contains non-finite values")
-        if np.any(self.transmission < 0):
-            raise ValueError("transmission must be >= 0")
 
 
 def _background_alphas(g, od2, w, deff, populations, kappa):
@@ -205,10 +203,8 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
 
     ip, gain, baseline = _march(rates, fields_at_entry, medium, quad,
                                 slabs.slab_count, delta_grid, attenuate_drive)
-    spec = Spectrum(delta_grid=delta_grid, transmission=ip,
+    return Spectrum(delta_grid=delta_grid, transmission=ip,
                     baseline=baseline, gain_flag=gain)
-    spec.validate()
-    return spec
 
 
 def reference_transmission(rates: Rates, fields: Fields, medium: Medium,
@@ -235,8 +231,6 @@ def normalize(spectrum: Spectrum) -> Spectrum:
         raise ValueError("spectrum carries no baseline to normalize by")
     if not np.isfinite(ref) or ref < 1e-300:
         raise ZeroBackground(f"reference transmission underflowed ({ref!r})")
-    spec = Spectrum(delta_grid=spectrum.delta_grid.copy(),
+    return Spectrum(delta_grid=spectrum.delta_grid.copy(),
                     transmission=spectrum.transmission / ref,
                     baseline=1.0, gain_flag=spectrum.gain_flag.copy())
-    spec.validate()
-    return spec

@@ -35,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import ac_stark_shift, density_narrowed_width
+from .analytic import (LineshapeParams, ac_stark_shift,
+                       density_narrowed_width)
 from .csvio import DescriptorCurve, DescriptorRow, export_csv
 from .doppler import QuadratureSpec, velocity_nodes
 from .errors import ConfigError, DegenerateSpectrum, NonPhysicalValue
@@ -56,6 +57,8 @@ _MAX_GRID_POINTS = 3201
 # _MAX_RATE], and each detuning and kappa*L is at most _MAX_RATE, so the
 # squares, products and ratios the kernel forms of them stay finite and > 0
 _MIN_RATE, _MAX_RATE = 1e-30, 1e30
+# the fitted line of a point whose spectrum carries none
+_NO_FIT = LineshapeParams(*[math.nan] * 5)
 
 # (section, key) -> (type, default); None default means required
 _SCHEMA = {
@@ -412,17 +415,10 @@ def scan_point(cfg: ScanConfig, big_delta: float) -> tuple[Spectrum, DescriptorR
 
     try:
         fit = fit_lineshape(spec)
-        p = fit.params
-        row = DescriptorRow(
-            big_delta=big_delta, A=p.A, B=p.B, C=p.C,
-            gamma_tilde=p.gamma_tilde, delta0=p.delta0,
-            residual_rms=fit.residual_rms, converged=fit.converged,
-            gain_flag=gain)
+        row = DescriptorRow(big_delta, fit.params, fit.residual_rms,
+                            fit.converged, gain)
     except DegenerateSpectrum:
-        row = DescriptorRow(
-            big_delta=big_delta, A=math.nan, B=math.nan, C=math.nan,
-            gamma_tilde=math.nan, delta0=math.nan, residual_rms=0.0,
-            converged=False, gain_flag=gain)
+        row = DescriptorRow(big_delta, _NO_FIT, 0.0, False, gain)
     return spec, row
 
 
@@ -450,7 +446,6 @@ def run_scan(cfg: ScanConfig, out_dir=None) -> DescriptorCurve:
     results = [scan_point(cfg, float(dl)) for dl in deltas]
 
     curve = DescriptorCurve(rows=[row for _, row in results])
-    curve.validate()
     export_csv(curve, out / "descriptors.csv")
 
     spectra_files = []

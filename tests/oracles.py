@@ -8,8 +8,10 @@ SVD null-space solve in place of the package's trace-constrained linear
 solve.  The sign conventions themselves are checked without this module,
 by `test_model`'s weak-probe test, which holds the exact steady state to
 the pipeline's first-order kernel.  The velocity average is a dense
-truncated trapezoid sum and fit refinement a local grid search.  None of
-this imports from the package internals beyond plain dataclasses.
+truncated trapezoid sum, the divided difference of two averages an
+mpmath evaluation of the Faddeeva function, and fit refinement a local
+grid search.  None of this imports from the package internals beyond
+plain dataclasses.
 """
 
 import numpy as np
@@ -69,6 +71,25 @@ def doppler_average_trapezoid(chi, big_delta, ku, n=100_000, half_width=6.0):
     kv = np.linspace(-half_width * ku, half_width * ku, n)
     vals = chi(big_delta - kv) * np.exp(-((kv / ku) ** 2))
     return np.trapezoid(vals, kv) / (np.sqrt(np.pi) * ku)
+
+
+def maxwell_mean_slope_mp(p1, p2, big_delta, ku):
+    """(M(p1) - M(p2))/(p1 - p2) for the Maxwell average
+    M(p) = <1/(x - p)> = -i sqrt(pi)/ku w((big_delta - p)/ku), p1 != p2
+    below the real axis, with w(z) = exp(-z^2) erfc(-iz) from mpmath.
+    The working precision covers the digits z^2 needs and the ones the
+    difference cancels, so the result is exact far beyond double precision."""
+    import mpmath as mp
+
+    z1, z2 = ((big_delta - complex(p)) / ku for p in (p1, p2))
+    cancel = abs(z1 + z2) / abs(z1 - z2)
+    digits = 30 + 2 * np.log10(max(abs(z1), 1.0)) + np.log10(max(cancel, 1.0))
+    with mp.workdps(int(digits)):
+        p = [mp.mpc(complex(x)) for x in (p1, p2)]
+        w = [mp.exp(-z * z) * mp.erfc(-1j * z)
+             for z in ((big_delta - x) / ku for x in p)]
+        return complex(-1j * mp.sqrt(mp.pi) / ku * (w[0] - w[1])
+                       / (p[0] - p[1]))
 
 
 def lineshape(delta, a, b, c, gt, d0):

@@ -171,7 +171,7 @@ def test_criterion_02_steady_state_physicality():
                         big_delta=rng.uniform(-1, 1) * 10 ** rng.uniform(5, 10),
                         small_delta=rng.uniform(-1, 1) * 10 ** rng.uniform(2, 7))
         rho = steady_state(rates, fields)
-        m = rho.matrix
+        m = rho
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
         assert abs(np.trace(m) - 1.0) < 1e-12
         pops = np.real(np.diag(m))
@@ -237,7 +237,7 @@ def test_criterion_03_fit_round_trip():
 
 def test_criterion_04a_inversion_30torr(sweep_30torr):
     rows, elapsed = sweep_30torr
-    phis = np.array([abs(r.phi) for r in rows])
+    phis = np.array([abs(r.params.phi) for r in rows])
     phi0 = phis[0]
     phimax = float(np.max(phis))
     ok = phi0 < 0.1 * math.pi and phimax > INVERSION_PHI and elapsed < 120.0
@@ -258,16 +258,17 @@ def test_criterion_04b_vacuum_angle_stays_small(sweep_vacuum, sweep_30torr):
     rows, elapsed = sweep_vacuum
     buffered, _ = sweep_30torr
     ku = preset_config("vacuum").medium().ku
-    phis = np.array([abs(r.phi) for r in rows])
+    phis = np.array([abs(r.params.phi) for r in rows])
     in_doppler = np.array([abs(r.big_delta) <= 2.0 * ku for r in rows])
     phi_doppler = float(np.max(phis[in_doppler]))
     phimax = float(np.max(phis))
     i = int(np.argmax(phis))
-    phi_buffered = max(abs(r.phi) for r in buffered)
+    phi_buffered = max(abs(r.params.phi) for r in buffered)
     # A < 0 marks absorption; near resonance the vacuum's thick-cell fits
     # put a large transmission peak (A > 0) on a negative background C
-    absorption = max(-r.A / abs(r.C) for r in rows)
-    absorption_buffered = max(-r.A / abs(r.C) for r in buffered)
+    absorption = max(-r.params.A / abs(r.params.C) for r in rows)
+    absorption_buffered = max(-r.params.A / abs(r.params.C)
+                              for r in buffered)
     ok = (phi_doppler < 0.2 * math.pi and phimax < INVERSION_PHI
           and absorption < 0.01 * absorption_buffered and elapsed < 120.0)
     report(4, "vacuum preset shows no absorption resonance", ok,
@@ -291,7 +292,7 @@ def test_criterion_05_width_behavior(sweep_30torr):
     g, od = mhz(153), mhz(2.5)
     analytic0 = resonance_width(0.0, od, g, mhz(0.0007))
     exact = analytic0 == pytest.approx(od * od / g, rel=1e-12)
-    ratio = rows[0].gamma_tilde / rows[-1].gamma_tilde
+    ratio = rows[0].params.gamma_tilde / rows[-1].params.gamma_tilde
     ok = exact and ratio > 2.0
     report(5, "width behavior", ok,
            f"analytic width(0) = |od|^2/gamma to 1e-12, fitted "

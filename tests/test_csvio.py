@@ -108,18 +108,21 @@ def test_dispersion_fixture_fits_as_quarter_turn(tmp_path):
 
 def test_descriptor_curve_round_trip(tmp_path):
     rows = [
-        DescriptorRow(big_delta=mhz(0), A=1.5, B=0.0, C=1.0,
-                      gamma_tilde=mhz(0.04), delta0=0.0, residual_rms=1e-3,
-                      converged=True, gain_flag=False),
-        DescriptorRow(big_delta=mhz(100), A=-0.5, B=-0.5, C=1.0,
-                      gamma_tilde=mhz(0.01), delta0=mhz(0.002),
+        DescriptorRow(big_delta=mhz(0),
+                      params=LineshapeParams(A=1.5, B=0.0, C=1.0,
+                                             gamma_tilde=mhz(0.04),
+                                             delta0=0.0),
+                      residual_rms=1e-3, converged=True, gain_flag=False),
+        DescriptorRow(big_delta=mhz(100),
+                      params=LineshapeParams(A=-0.5, B=-0.5, C=1.0,
+                                             gamma_tilde=mhz(0.01),
+                                             delta0=mhz(0.002)),
                       residual_rms=2e-3, converged=True, gain_flag=False),
-        DescriptorRow(big_delta=mhz(200), A=math.nan, B=math.nan, C=math.nan,
-                      gamma_tilde=math.nan, delta0=math.nan,
+        DescriptorRow(big_delta=mhz(200),
+                      params=LineshapeParams(*[math.nan] * 5),
                       residual_rms=0.0, converged=False, gain_flag=False),
     ]
     curve = DescriptorCurve(rows=rows)
-    curve.validate()
     path = tmp_path / "d.csv"
     export_csv(curve, path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -134,9 +137,11 @@ def test_descriptor_curve_round_trip(tmp_path):
 @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.6, 0.8),
                                   (math.nan, math.nan)])
 def test_descriptor_row_polar_form_is_the_lineshape_rule(a, b):
-    row = DescriptorRow(big_delta=0.0, A=a, B=b, C=1.0, gamma_tilde=1.0,
-                        delta0=0.0, residual_rms=0.0, converged=True,
-                        gain_flag=False)
+    row = DescriptorRow(big_delta=0.0,
+                        params=LineshapeParams(A=a, B=b, C=1.0,
+                                               gamma_tilde=1.0, delta0=0.0),
+                        residual_rms=0.0, converged=True, gain_flag=False)
     params = LineshapeParams(A=a, B=b, C=1.0, gamma_tilde=1.0, delta0=0.0)
-    np.testing.assert_array_equal([row.D, row.phi], [params.D, params.phi])
-    assert math.isnan(row.phi) == math.isnan(a)
+    np.testing.assert_array_equal([row.params.D, row.params.phi],
+                                  [params.D, params.phi])
+    assert math.isnan(row.params.phi) == math.isnan(a)

@@ -8,7 +8,7 @@ from lambda_spectra.doppler import (maxwell_mean_inverse, maxwell_mean_slope,
                                     velocity_nodes)
 from lambda_spectra.units import mhz
 
-from oracles import doppler_average_trapezoid
+from oracles import doppler_average_trapezoid, maxwell_mean_slope_mp
 
 KU = mhz(250)
 
@@ -135,3 +135,32 @@ class TestExactScheme:
             ref = doppler_average_trapezoid(
                 lambda x: 1.0 / ((x - a) * (x - p2)), mhz(100), KU)
             assert abs(b - ref) < 1e-12 * abs(ref)
+
+    # measured worst over these points: 4.8e-13 on the series side of the
+    # 1e-3 rho switch and 5.3e-12 on the quotient side, whose difference
+    # of two wofz values (each within about 1e-14) is divided by
+    # |p1 - p2|; a denser sweep reached 6.4e-13 and 1.1e-11
+    SERIES_RTOL, QUOTIENT_RTOL = 1e-12, 3e-11
+
+    @pytest.mark.parametrize("r", [1.0, 5.6, 19.9, 20.1, 1e2, 1e3, 1e5, 1e7,
+                                   1e9, 1e12])
+    def test_slope_against_mpmath(self, r):
+        # |z| = r at the midpoint, across the upper half plane, with pole
+        # separations from 1e-9 to 1e-1 of rho on both sides of the series
+        # switch; above |z| = 20 the series takes w' and w''' from the
+        # asymptotic expansion
+        ku, dl = 1.0, 0.0
+        rng = np.random.default_rng(int(100 * np.log10(r)))
+        for arg in np.pi * np.array([0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]):
+            mid = dl - ku * r * np.exp(1j * arg)
+            for sep in (1e-9, 1e-7, 1e-5, 9.9e-4, 1.01e-3, 1e-2, 1e-1):
+                h = sep * max(1.0, r) * ku * np.exp(2j * np.pi * rng.random())
+                p1, p2 = mid + 0.5 * h, mid - 0.5 * h
+                if max(p1.imag, p2.imag) >= 0.0:
+                    continue
+                m1, m2 = (maxwell_mean_inverse(p, dl, ku) for p in (p1, p2))
+                got = maxwell_mean_slope(np.array([p1]), p2, np.array([m1]),
+                                         m2, dl, ku)[0]
+                ref = maxwell_mean_slope_mp(p1, p2, dl, ku)
+                rtol = self.SERIES_RTOL if sep < 1e-3 else self.QUOTIENT_RTOL
+                assert abs(got - ref) <= rtol * abs(ref), (arg, sep)

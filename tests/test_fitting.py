@@ -186,7 +186,7 @@ class TestGuessAndEdges:
     def test_too_few_points(self):
         spec = Spectrum(delta_grid=np.linspace(-1, 1, 5),
                         transmission=np.linspace(0, 1, 5))
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateSpectrum):
             fit_lineshape(spec)
 
     def test_covariance_scale_on_noisy_data(self):

@@ -42,15 +42,15 @@ def point(preset, dl_mhz, scaled=False):
     return scan_point(rescaled(cfg) if scaled else cfg, mhz(dl_mhz))
 
 
-def fit_errors(row, ref, sign):
-    """Descriptor differences of row against sign-mirrored ref, each on
+def fit_errors(p, ref, sign):
+    """Differences of the fitted line p against sign-mirrored ref, each on
     its scale."""
     d, gt = ref.D, ref.gamma_tilde
-    return {"A": abs(row.A - ref.A) / d,
-            "B": abs(row.B - sign * ref.B) / d,
-            "C": abs(row.C - ref.C) / abs(ref.C),
-            "gamma_tilde": abs(row.gamma_tilde - gt) / gt,
-            "delta0": abs(row.delta0 - sign * ref.delta0) / gt}
+    return {"A": abs(p.A - ref.A) / d,
+            "B": abs(p.B - sign * ref.B) / d,
+            "C": abs(p.C - ref.C) / abs(ref.C),
+            "gamma_tilde": abs(p.gamma_tilde - gt) / gt,
+            "delta0": abs(p.delta0 - sign * ref.delta0) / gt}
 
 
 @pytest.mark.parametrize("preset, dl", POINTS)
@@ -63,7 +63,7 @@ def test_negative_detuning_mirrors(preset, dl):
     t_error = np.max(np.abs(mirror.transmission - spec.transmission[::-1]))
     assert t_error <= MIRROR_T
     assert row.converged and mrow.converged
-    errors = fit_errors(mrow, row, sign=-1.0)
+    errors = fit_errors(mrow.params, row.params, sign=-1.0)
     assert max(errors.values()) <= MIRROR_FIT, errors
 
 
@@ -74,5 +74,5 @@ def test_double_density_half_length_is_identical(preset, dl):
     assert np.array_equal(other.delta_grid, spec.delta_grid)
     assert np.all(np.abs(other.transmission - spec.transmission)
                   <= RESCALED * spec.transmission)
-    errors = fit_errors(orow, row, sign=1.0)
+    errors = fit_errors(orow.params, row.params, sign=1.0)
     assert max(errors.values()) <= RESCALED, errors

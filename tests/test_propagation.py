@@ -350,6 +350,22 @@ class TestExactKernel:
         for a, b in zip(pumped, unpumped):
             assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("gamma_bc", [khz(1), mhz(1)],
+                             ids=["1kHz", "1MHz"])
+    def test_doppler_width_far_below_the_linewidth(self, gamma_bc):
+        # ku = 2pi 1e-20 MHz under gamma = 2pi 1e22 MHz: the average is the
+        # ku = 0 value to (ku/gamma)^2, with the divided difference at
+        # |z| ~ 1e42 (its derivative recurrence gave 1e50 times the value)
+        rates = Rates(gamma_r=mhz(1e22), gamma_deph=0.0, gamma_bc=gamma_bc)
+        od2 = mhz(1.1e-36) ** 2
+        deltas = np.array([-mhz(1e22), -gamma_bc, 0.0, gamma_bc, mhz(1e21)])
+        for dl in (0.0, mhz(100), mhz(1e22)):
+            got = maxwell_absorption(rates, od2, dl, mhz(1e-20), deltas, 1.0)
+            pb, pc = drive_only_populations(rates, np.sqrt(od2), dl)
+            want = weak_probe_susceptibility(rates.gamma, gamma_bc, od2, dl,
+                                             deltas, pb, pc, 1.0).imag
+            assert np.allclose(got[0], want, rtol=1e-12, atol=0.0)
+
     def test_transmit_matches_dense_trapezoid(self):
         # the whole march, drive depletion included, against an 8001-node
         # trapezoid on the vacuum preset's bare radiative line (1601 nodes
@@ -402,9 +418,13 @@ def test_slab_config_validation():
 
 
 def test_spectrum_validation():
-    with pytest.raises(ValueError):
+    # checked when built; T >= 0 is left to transmit and normalize
+    with pytest.raises(ValueError, match="increasing"):
         Spectrum(delta_grid=np.array([0.0, 1.0, 1.0]),
-                 transmission=np.ones(3)).validate()
-    with pytest.raises(ValueError):
+                 transmission=np.ones(3))
+    with pytest.raises(ValueError, match="non-finite"):
         Spectrum(delta_grid=np.array([0.0, 1.0]),
-                 transmission=np.array([1.0, -0.5])).validate()
+                 transmission=np.array([1.0, np.inf]))
+    with pytest.raises(ValueError, match="shapes"):
+        Spectrum(delta_grid=np.array([0.0, 1.0]), transmission=np.ones(2),
+                 gain_flag=np.zeros(3, dtype=bool))

@@ -99,6 +99,22 @@ def edited(edits):
     return text
 
 
+def refused_or_runs(values, edits):
+    """A config validate accepts must not crash a run: either it is
+    refused, naming an edited key, or every sweep point returns or raises
+    a package error (warnings are errors here)."""
+    try:
+        cfg = parse_config(config_text(ScanConfig(values=values)))
+    except ConfigError as exc:
+        assert any(f"[{s}] {k}" in str(exc) for s, k in edits), exc
+        return
+    for big_delta in cfg.sweep_deltas():
+        try:
+            scan_point(cfg, float(big_delta))
+        except LambdaSpectraError:
+            pass
+
+
 _FLOAT_KEYS = sorted(k for k, (typ, _) in _SCHEMA.items() if typ is float)
 _CHEAP_FLOATS = {k: parse_config(CHEAP_CONFIG).get(*k) for k in _FLOAT_KEYS}
 
@@ -240,21 +256,28 @@ class TestConfig:
 
     @pytest.mark.parametrize("base, edits", _magnitude_sweep())
     def test_config_magnitudes_are_refused_or_run(self, base, edits):
-        # a value validate accepts must not crash a run: either the config
-        # is refused, naming an edited key, or every sweep point returns
-        # or raises a package error (warnings are errors here)
         values = {**parse_config(CHEAP_CONFIG).values, ("sweep", "points"): 1,
                   **base, **edits}
-        try:
-            cfg = parse_config(config_text(ScanConfig(values=values)))
-        except ConfigError as exc:
-            assert any(f"[{s}] {k}" in str(exc) for s, k in edits), exc
-            return
-        for big_delta in cfg.sweep_deltas():
-            try:
-                scan_point(cfg, float(big_delta))
-            except LambdaSpectraError:
-                pass
+        refused_or_runs(values, edits)
+
+    def test_configs_far_from_the_presets_are_refused_or_run(self):
+        # 400 seeded draws that set several keys far from the presets at
+        # once: each key below is 0 with probability 0.2, else log-uniform
+        # over 1e-38 to 1e24 in config units; no probe, and one sweep point
+        # at +-1e-30 to 1e23 MHz
+        keys = [("medium", "ku_mhz"), ("rates", "gamma_r_mhz"),
+                ("rates", "gamma_deph_mhz"), ("rates", "gamma_bc_khz"),
+                ("fields", "omega_d_mhz"), ("medium", "density_cm3"),
+                ("medium", "length_cm")]
+        base = {**parse_config(CHEAP_CONFIG).values, ("sweep", "points"): 1,
+                ("fields", "omega_p_mhz"): 0.0}
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            edits = {k: 0.0 if rng.random() < 0.2
+                     else float(10.0 ** rng.uniform(-38, 24)) for k in keys}
+            at = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-30, 23))
+            edits["sweep", "start_mhz"] = edits["sweep", "stop_mhz"] = at
+            refused_or_runs({**base, **edits}, edits)
 
     @pytest.mark.parametrize("word, value", [
         ("true", True), ("yes", True), ("1", True), ("on", True),
@@ -330,9 +353,10 @@ class TestScanPipeline:
         cfg = parse_config(CHEAP_CONFIG)
         spec, row = scan_point(cfg, mhz(1600.0))
         assert row.converged
-        assert row.D == pytest.approx(math.hypot(row.A, row.B), rel=1e-12)
-        assert row.phi == pytest.approx(math.atan2(row.B, row.A), rel=1e-12)
-        assert abs(row.phi) > 0.6 * math.pi  # absorption-dominated here
+        p = row.params
+        assert p.D == pytest.approx(math.hypot(p.A, p.B), rel=1e-12)
+        assert p.phi == pytest.approx(math.atan2(p.B, p.A), rel=1e-12)
+        assert abs(p.phi) > 0.6 * math.pi  # absorption-dominated here
         assert spec.baseline == 1.0
 
     @pytest.mark.parametrize("preset", ["ne_30torr", "vacuum"])
@@ -358,14 +382,14 @@ class TestScanPipeline:
         assert grid[grid.size // 2] == pytest.approx(khz(-20.0), rel=1e-12)
         assert grid[0] == pytest.approx(khz(-70.0), rel=1e-12)
         assert grid[-1] == pytest.approx(khz(30.0), rel=1e-12)
-        assert row.converged and row.delta0 < 0
+        assert row.converged and row.params.delta0 < 0
 
     def test_empty_cell_records_degenerate_fit(self):
         cfg = parse_config(CHEAP_CONFIG.replace("density_cm3 = 2.5e11",
                                                 "density_cm3 = 0"))
         _, row = scan_point(cfg, 0.0)
         assert not row.converged
-        assert math.isnan(row.A)
+        assert math.isnan(row.params.A)
 
     def test_run_scan_outputs_and_determinism(self, tmp_path):
         cfg = parse_config(CHEAP_CONFIG)
@@ -435,6 +459,13 @@ class TestCli:
         p.write_text(body, encoding="utf-8")
         assert main(["fit", str(p)]) == 0
         assert "gamma_tilde" in capsys.readouterr().out
+
+    def test_fit_of_too_few_rows_exits_3(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text(f"{SPECTRUM_HEADER}\n-1,1\n0,0.5\n1,1\n",
+                         encoding="utf-8")
+        assert main(["fit", str(short)]) == 3
+        assert "error:" in capsys.readouterr().err
 
     def test_exit_codes(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
