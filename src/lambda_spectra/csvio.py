@@ -9,8 +9,16 @@ Schemas (UTF-8, LF line endings, decimal point, 12 significant digits):
 A descriptor row writes its fitted `LineshapeParams` (D and phi derived
 from A and B) beside its detuning and fit diagnostics.  Export is
 byte-deterministic for identical inputs; load rejects wrong headers
-(SchemaMismatch) and malformed or non-monotone rows (ParseError, naming
-the row), and returns a `Spectrum`, which checks itself when built.
+(SchemaMismatch), text that is not UTF-8 and malformed or non-monotone
+rows (ParseError, naming the file line), and returns a `Spectrum`, which
+checks itself when built.
+
+Load takes a spectrum's body from one `np.loadtxt` pass where that gives
+a valid spectrum, as it does for every file export writes, and from a
+row loop of `float()` calls otherwise, which loads what only `float()`
+reads or raises the ParseError.  The input alone selects the path, and
+the two load the same arrays wherever both accept a file (see
+`load_spectrum_csv`).
 """
 
 from __future__ import annotations
@@ -60,16 +68,57 @@ class DescriptorCurve:
 
 
 def load_spectrum_csv(path) -> Spectrum:
-    """Read a spectrum CSV (schema above) into internal units."""
+    """Read a spectrum CSV (schema above) into internal units.
+
+    The body goes through one `np.loadtxt` pass when loadtxt parses it
+    and the result has at least 2 rows, exactly 2 columns, finite values
+    and a strictly increasing first column: every file `export_csv`
+    writes does.  Any other body goes through `_parse_rows`, which loads
+    the files only Python's `float()` accepts (`1_000`, non-ASCII digits,
+    whitespace-only lines) and raises the ParseError that names the file
+    line at fault.  Both see the lines `str.splitlines` gives, and where
+    loadtxt parses a field it gives the same float as `float()`, so both
+    paths load the same arrays.  Raises ParseError for text that is not
+    UTF-8.
+    """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise SchemaMismatch(f"{path}: empty file")
     if lines[0].strip() != SPECTRUM_HEADER:
         raise SchemaMismatch(
             f"{path}: expected header {SPECTRUM_HEADER!r}, got {lines[0]!r}")
-    grid, trans = [], []
+    columns = _array_body(lines[1:])
+    if columns is None:
+        columns = _parse_rows(path, lines)
+    return Spectrum(delta_grid=mhz(1.0) * columns[0], transmission=columns[1])
+
+
+def _array_body(body):
+    """The (delta_mhz, transmission) rows of `body` from one `np.loadtxt`
+    pass, as contiguous columns of a (2, n) array like `_parse_rows`
+    returns, or None where loadtxt refuses them or they break a rule of
+    the schema."""
+    if not any(body):  # only empty lines: loadtxt would warn, not raise
+        return None
+    try:
+        rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (rows.shape[0] < 2 or rows.shape[1] != 2 or not np.isfinite(rows).all()
+            or not (np.diff(rows[:, 0]) > 0).all()):
+        return None
+    return rows.T.copy()
+
+
+def _parse_rows(path, lines):
+    """Parse the body after header `lines[0]` row by row with `float()`
+    into a (2, n) array.  A ParseError names the file line at fault."""
+    grid, trans, line_nos = [], [], []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -85,13 +134,14 @@ def load_spectrum_csv(path) -> Spectrum:
             raise ParseError(f"{path}: row {i}: non-finite value")
         grid.append(d)
         trans.append(t)
+        line_nos.append(i)
     if len(grid) < 2:
         raise ParseError(f"{path}: need at least 2 data rows")
-    g = np.asarray(grid)
-    if np.any(np.diff(g) <= 0):
-        bad = int(np.argmax(np.diff(g) <= 0)) + 3  # header + 1-based + offset
-        raise ParseError(f"{path}: row {bad}: delta grid is not strictly increasing")
-    return Spectrum(delta_grid=mhz(1.0) * g, transmission=np.asarray(trans))
+    falls = np.flatnonzero(np.diff(grid) <= 0)
+    if falls.size:
+        raise ParseError(f"{path}: row {line_nos[falls[0] + 1]}: "
+                         f"delta grid is not strictly increasing")
+    return np.array([grid, trans])
 
 
 def _spectrum_text(spec: Spectrum) -> str:

@@ -228,6 +228,8 @@ def load_config(path) -> ScanConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise OSError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, origin=str(path))
@@ -426,8 +428,8 @@ def run_scan(cfg: ScanConfig, out_dir=None) -> DescriptorCurve:
     """Sweep the one-photon detuning and write descriptor + spectrum CSVs.
 
     Refuses to mix results: an existing non-empty output directory must
-    carry a manifest from the identical config, in which case files are
-    reproduced byte-for-byte.
+    carry a manifest (a JSON object) from the identical config, in which
+    case files are reproduced byte-for-byte.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.get("output", "directory"))
     digest = cfg.digest()
@@ -436,7 +438,13 @@ def run_scan(cfg: ScanConfig, out_dir=None) -> DescriptorCurve:
         if not manifest_path.exists():
             raise OSError(f"output directory {out} is not empty and has no "
                           f"manifest; refusing to mix results")
-        previous = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            previous = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except ValueError:  # not UTF-8 or not JSON
+            previous = None
+        if not isinstance(previous, dict):
+            raise OSError(f"output directory {out} holds a {MANIFEST_NAME} "
+                          f"that is not a JSON object; refusing to mix results")
         if previous.get("config_digest") != digest:
             raise OSError(f"output directory {out} holds results from a "
                           f"different config; refusing to overwrite")

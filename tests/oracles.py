@@ -10,9 +10,13 @@ by `test_model`'s weak-probe test, which holds the exact steady state to
 the pipeline's first-order kernel.  The velocity average is a dense
 truncated trapezoid sum, the divided difference of two averages an
 mpmath evaluation of the Faddeeva function, and fit refinement a local
-grid search.  None of this imports from the package internals beyond
+grid search.  The spectrum CSV reader is the `csv` module and `float()`
+per field.  None of this imports from the package internals beyond
 plain dataclasses.
 """
+
+import csv
+import math
 
 import numpy as np
 
@@ -153,3 +157,44 @@ def lineshape_covariance(delta, trans, a, b, c, gt, d0):
     scale = np.linalg.norm(jac, axis=0)
     rinv = np.linalg.inv(np.linalg.qr(jac / scale, mode="r"))
     return sigma2 * np.sum(rinv**2, axis=1) / scale**2
+
+
+class RejectedRow(ValueError):
+    """`read_spectrum_body` refused a file at file line `row` (None: fewer
+    than 2 data rows)."""
+
+    def __init__(self, row):
+        super().__init__(f"row {row}")
+        self.row = row
+
+
+def read_spectrum_body(path):
+    """Reference reader for the body of a spectrum CSV (the header line
+    is skipped unchecked): `csv` module rows, `float()` per field, rows
+    numbered by file line.  Blank and whitespace-only lines are skipped.
+    Every row is parsed before the grid's order is checked.  Returns the
+    (delta_mhz, transmission) lists or raises RejectedRow."""
+    grid, trans, lines = [], [], []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, quoting=csv.QUOTE_NONE)
+        next(reader)
+        for fields in reader:
+            if fields == [] or (len(fields) == 1 and fields[0].strip() == ""):
+                continue
+            if len(fields) != 2:
+                raise RejectedRow(reader.line_num)
+            try:
+                d, t = float(fields[0]), float(fields[1])
+            except ValueError:
+                raise RejectedRow(reader.line_num) from None
+            if math.isnan(d) or math.isinf(d) or math.isnan(t) or math.isinf(t):
+                raise RejectedRow(reader.line_num)
+            grid.append(d)
+            trans.append(t)
+            lines.append(reader.line_num)
+    if len(grid) < 2:
+        raise RejectedRow(None)
+    for k in range(1, len(grid)):
+        if not grid[k] > grid[k - 1]:
+            raise RejectedRow(lines[k])
+    return grid, trans

@@ -1,6 +1,7 @@
 """CSV schemas, round trips, and diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 from lambda_spectra import (DescriptorCurve, DescriptorRow, LineshapeParams,
                             ParseError, SchemaMismatch, Spectrum, export_csv,
                             fit_lineshape, load_spectrum_csv)
+from lambda_spectra import csvio
 from lambda_spectra.csvio import DESCRIPTOR_HEADER, SPECTRUM_HEADER
 from lambda_spectra.units import khz, mhz
+
+from oracles import RejectedRow, read_spectrum_body
 
 
 def test_spectrum_round_trip(tmp_path):
@@ -55,6 +59,134 @@ def test_spectrum_round_trip_keeps_twelve_digits(tmp_path_factory, points,
     assert np.all(np.abs(back.transmission - trans) <= _TWELVE_DIGITS * trans)
 
 
+def _row_loop_refused(path, _lines):
+    raise AssertionError(f"{path} went through the row loop")
+
+
+@settings(max_examples=50, deadline=None)
+@given(points=st.integers(2, 3201), centre_khz=st.floats(-1100.0, 1100.0),
+       half_span_khz=st.floats(50.0, 60000.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_exported_spectra_load_in_one_array_pass(tmp_path_factory, points,
+                                                 centre_khz, half_span_khz,
+                                                 seed):
+    # what export writes must never need the row loop: a loader that sent
+    # every file down it would still load them, only slower
+    grid = khz(centre_khz) + np.linspace(-khz(half_span_khz),
+                                         khz(half_span_khz), points)
+    rng = np.random.default_rng(seed)
+    trans = rng.uniform(0.0, 1.5, points) * 10.0 ** rng.uniform(-300, 0, points)
+    trans[rng.random(points) < 0.1] = 0.0
+    path = tmp_path_factory.mktemp("fast") / "s.csv"
+    export_csv(Spectrum(delta_grid=grid, transmission=trans), path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "_parse_rows", _row_loop_refused)
+        back = load_spectrum_csv(path)
+    assert back.delta_grid.size == points
+
+
+@st.composite
+def _number_text(draw, x):
+    """x written in one of the forms a spectrum file may hold, each of
+    which float() reads back to x exactly, padded with whitespace."""
+    r = repr(x)
+    forms = [r, f"{x:.17e}", f"{x:.17E}"]
+    if r.startswith("0."):
+        forms.append(r[1:])
+    if r.startswith("-0."):
+        forms.append("-" + r[2:])
+    if not r.startswith("-"):
+        forms.append("+" + r)
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    return draw(pad) + draw(st.sampled_from(forms)) + draw(pad)
+
+
+@st.composite
+def _spectrum_rows(draw, min_rows=2):
+    """(grid, transmission) float lists: the grid is distinct integers
+    times one power of ten, so it stays strictly increasing in rad/s."""
+    ints = draw(st.lists(st.integers(-10**6, 10**6), min_size=min_rows,
+                         max_size=30, unique=True))
+    scale = 10.0 ** draw(st.integers(-300, 3))
+    grid = [k * scale for k in sorted(ints)]
+    trans = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=len(grid), max_size=len(grid)))
+    return grid, trans
+
+
+# loadtxt skips empty lines but refuses whitespace-only ones, which send
+# a file down the row loop: half the files hold only empty ones
+_BLANK_KINDS = st.sampled_from([[""], ["", " ", "\t", " \t "]])
+
+
+def _write_body(path, data, rows, eol):
+    blank = st.lists(st.sampled_from(data.draw(_BLANK_KINDS)), max_size=2)
+    lines = [SPECTRUM_HEADER]
+    for row in rows:
+        lines += data.draw(blank)
+        lines.append(",".join(row))
+    path.write_bytes((eol.join(lines) + eol).encode("utf-8"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), eol=st.sampled_from(["\n", "\r\n"]))
+def test_loader_agrees_with_oracle_on_valid_text(tmp_path_factory, data, eol):
+    grid, trans = data.draw(_spectrum_rows())
+    rows = [[data.draw(_number_text(d)), data.draw(_number_text(t))]
+            for d, t in zip(grid, trans)]
+    path = tmp_path_factory.mktemp("valid") / "s.csv"
+    _write_body(path, data, rows, eol)
+    ref_grid, ref_trans = read_spectrum_body(path)
+    back = load_spectrum_csv(path)
+    assert back.delta_grid.tobytes() == (mhz(1.0) * np.array(ref_grid)).tobytes()
+    assert back.transmission.tobytes() == np.array(ref_trans).tobytes()
+
+
+# "width" gives every row 1 or 3 columns, "short" keeps 0 or 1 rows; the
+# others each spoil one data row
+_DEFECTS = ("field", "columns", "width", "non-finite", "comment", "order",
+            "short")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), eol=st.sampled_from(["\n", "\r\n"]),
+       defects=st.lists(st.sampled_from(_DEFECTS), min_size=1, max_size=2))
+def test_loader_names_the_oracles_row_on_malformed_text(tmp_path_factory, data,
+                                                        eol, defects):
+    grid, trans = data.draw(_spectrum_rows(min_rows=3))
+    rows = [[repr(d), repr(t)] for d, t in zip(grid, trans)]
+    if "width" in defects:
+        rows = [data.draw(st.sampled_from([r[:1], r + ["1"]])) for r in rows]
+    # from the last row up, so that each defect sees the rows before it
+    # as drawn
+    ks = data.draw(st.permutations(range(1, len(rows))))
+    for k, defect in sorted(zip(ks, defects), reverse=True):
+        column = data.draw(st.integers(0, len(rows[k]) - 1))
+        if defect == "field":
+            rows[k][column] = data.draw(st.sampled_from(
+                ["oops", "", "1e", "0x10", "1d5", ".", "--1", "1 2", "'1'"]))
+        elif defect == "columns":
+            rows[k] = data.draw(st.sampled_from([rows[k][:1], rows[k] + ["1"]]))
+        elif defect == "non-finite":
+            rows[k][column] = data.draw(st.sampled_from(
+                ["nan", "inf", "-inf", "1e400", "NaN", "-Infinity"]))
+        elif defect == "comment":
+            rows.insert(k, [data.draw(st.sampled_from(["# note", "#1", " #"]))])
+        elif defect == "order":
+            rows[k][0] = data.draw(st.sampled_from(
+                [rows[k - 1][0], repr(grid[0] - 1.0)]))
+    if "short" in defects:
+        rows = rows[:data.draw(st.integers(0, 1))]
+    path = tmp_path_factory.mktemp("bad") / "s.csv"
+    _write_body(path, data, rows, eol)
+    with pytest.raises(RejectedRow) as ref:
+        read_spectrum_body(path)
+    expected = ("need at least 2 data rows" if ref.value.row is None
+                else f": row {ref.value.row}: ")
+    with pytest.raises(ParseError, match=re.escape(expected)):
+        load_spectrum_csv(path)
+
+
 def test_export_is_byte_deterministic(tmp_path):
     grid = mhz(1.0) * np.linspace(-2, 2, 33)
     spec = Spectrum(delta_grid=grid, transmission=np.exp(-grid**2 / mhz(1)**2))
@@ -86,7 +218,11 @@ def test_malformed_row_names_the_row(tmp_path):
 def test_non_monotone_grid_rejected(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text(f"{SPECTRUM_HEADER}\n0,1\n2,1\n1,1\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="increasing"):
+    with pytest.raises(ParseError, match="row 4: .*increasing"):
+        load_spectrum_csv(p)
+    # the row named is the file line, blank lines included
+    p.write_text(f"{SPECTRUM_HEADER}\n1,0.5\n\n3,0.5\n2,0.5\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="row 5: .*increasing"):
         load_spectrum_csv(p)
 
 

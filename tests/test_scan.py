@@ -476,6 +476,35 @@ class TestCli:
         malformed.write_text("delta_mhz,transmission\n0,x\n", encoding="utf-8")
         assert main(["fit", str(malformed)]) == 3
 
+    def test_non_utf8_spectrum_exits_3(self, tmp_path, capsys):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(f"{SPECTRUM_HEADER}\n0,1\n1,0.5\xff\n".encode("latin-1"))
+        assert main(["fit", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(p) in err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "latin1.ini"
+        cfgfile.write_bytes(CHEAP_CONFIG.encode("utf-8") + b"# \xff\n")
+        out = tmp_path / "out"
+        assert main(["validate", str(cfgfile)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert main(["run", str(cfgfile), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("manifest", [b"not json", b"[1, 2]", b"\xff"])
+    def test_corrupt_manifest_is_refused(self, tmp_path, capsys, manifest):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(CHEAP_CONFIG, encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "scan_manifest.json").write_bytes(manifest)
+        assert main(["run", str(cfgfile), "--output", str(out)]) == 3
+        assert "refusing to mix results" in capsys.readouterr().err
+        assert [(p.name, p.read_bytes()) for p in out.iterdir()] == [
+            ("scan_manifest.json", manifest)]
+
     def test_sweep_without_width_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "flat.ini"
         cfgfile.write_text(CHEAP_CONFIG.replace(
