@@ -17,8 +17,8 @@ from .csvio import (DescriptorCurve, DescriptorRow, export_csv,
 from .doppler import QuadratureSpec, doppler_average
 from .errors import (ConfigError, DegenerateRates, DegenerateSpectrum,
                      LambdaSpectraError, NonPhysicalValue, NoSignChange,
-                     ParseError, QuadratureDivergence, SchemaMismatch,
-                     SingularSystem, ZeroBackground)
+                     ParseError, SchemaMismatch, SingularSystem,
+                     ZeroBackground)
 from .fitting import FitResult, fit_lineshape, initial_guess
 from .hanle import (TransitionSigns, ZeemanState, brightness, dark_state,
                     overlap, zeeman_detuning)

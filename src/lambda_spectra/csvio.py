@@ -8,10 +8,12 @@ Schemas (UTF-8, LF line endings, decimal point, 12 significant digits):
 
 A descriptor row writes its fitted `LineshapeParams` (D and phi derived
 from A and B) beside its detuning and fit diagnostics.  Export is
-byte-deterministic for identical inputs; load rejects wrong headers
-(SchemaMismatch), text that is not UTF-8 and malformed or non-monotone
-rows (ParseError, naming the file line), and returns a `Spectrum`, which
-checks itself when built.
+byte-deterministic for identical inputs, and refuses (ValueError) a
+spectrum whose grid would not load back; load rejects wrong headers
+(SchemaMismatch), text that is not UTF-8 and malformed rows or a grid
+that is not finite and strictly increasing once in rad/s (ParseError,
+naming the file line), and returns a `Spectrum`, which checks itself
+when built.
 
 Load takes a spectrum's body from one `np.loadtxt` pass where that gives
 a valid spectrum, as it does for every file export writes, and from a
@@ -40,6 +42,13 @@ __all__ = ["SPECTRUM_HEADER", "DESCRIPTOR_HEADER", "DescriptorRow",
 SPECTRUM_HEADER = "delta_mhz,transmission"
 DESCRIPTOR_HEADER = ("delta_1photon_mhz,A,B,C,D,phi_rad,gamma_tilde_khz,"
                      "delta0_khz,residual_rms,converged,gain_flag")
+
+_RAD_S_PER_MHZ = mhz(1.0)
+# 12 significant digits move a value by at most 5e-12 of itself, so grid
+# neighbours more than 1e-11 of the larger apart stay apart on load, in
+# MHz and in rad/s, and a grid within 1e300 MHz stays finite in rad/s
+_SAFE_GAP = 1e-11
+_SAFE_MHZ = 1e300
 
 
 @dataclass(frozen=True)
@@ -72,14 +81,14 @@ def load_spectrum_csv(path) -> Spectrum:
 
     The body goes through one `np.loadtxt` pass when loadtxt parses it
     and the result has at least 2 rows, exactly 2 columns, finite values
-    and a strictly increasing first column: every file `export_csv`
-    writes does.  Any other body goes through `_parse_rows`, which loads
-    the files only Python's `float()` accepts (`1_000`, non-ASCII digits,
-    whitespace-only lines) and raises the ParseError that names the file
-    line at fault.  Both see the lines `str.splitlines` gives, and where
-    loadtxt parses a field it gives the same float as `float()`, so both
-    paths load the same arrays.  Raises ParseError for text that is not
-    UTF-8.
+    and a grid that is finite and strictly increasing once in rad/s:
+    every file `export_csv` writes does.  Any other body goes through
+    `_parse_rows`, which loads the files only Python's `float()` accepts
+    (`1_000`, non-ASCII digits, whitespace-only lines) and raises the
+    ParseError that names the file line at fault.  Both see the lines
+    `str.splitlines` gives, and where loadtxt parses a field it gives the
+    same float as `float()`, so both paths load the same arrays.  Raises
+    ParseError for text that is not UTF-8.
     """
     path = Path(path)
     try:
@@ -95,29 +104,46 @@ def load_spectrum_csv(path) -> Spectrum:
     columns = _array_body(lines[1:])
     if columns is None:
         columns = _parse_rows(path, lines)
-    return Spectrum(delta_grid=mhz(1.0) * columns[0], transmission=columns[1])
+    return Spectrum(delta_grid=columns[0], transmission=columns[1])
+
+
+def _to_rad_s(grid_mhz):
+    """grid_mhz in rad/s; a value past the float range becomes inf
+    without a RuntimeWarning."""
+    with np.errstate(over="ignore"):
+        return _RAD_S_PER_MHZ * grid_mhz
+
+
+def _increasing(grid) -> bool:
+    """Whether grid is finite and strictly increasing, as `Spectrum`
+    requires."""
+    return bool(np.isfinite(grid).all() and (np.diff(grid) > 0).all())
 
 
 def _array_body(body):
-    """The (delta_mhz, transmission) rows of `body` from one `np.loadtxt`
-    pass, as contiguous columns of a (2, n) array like `_parse_rows`
-    returns, or None where loadtxt refuses them or they break a rule of
-    the schema."""
+    """The (delta, transmission) rows of `body` from one `np.loadtxt`
+    pass, as contiguous columns of a (2, n) array with the grid in rad/s
+    like `_parse_rows` returns, or None where loadtxt refuses them or
+    they break a rule of the schema."""
     if not any(body):  # only empty lines: loadtxt would warn, not raise
         return None
     try:
         rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if (rows.shape[0] < 2 or rows.shape[1] != 2 or not np.isfinite(rows).all()
-            or not (np.diff(rows[:, 0]) > 0).all()):
+    if rows.shape[0] < 2 or rows.shape[1] != 2:
         return None
-    return rows.T.copy()
+    columns = rows.T.copy()
+    columns[0] = _to_rad_s(columns[0])
+    if not (_increasing(columns[0]) and np.isfinite(columns[1]).all()):
+        return None
+    return columns
 
 
 def _parse_rows(path, lines):
     """Parse the body after header `lines[0]` row by row with `float()`
-    into a (2, n) array.  A ParseError names the file line at fault."""
+    into a (2, n) array, the grid in rad/s.  A ParseError names the file
+    line at fault."""
     grid, trans, line_nos = [], [], []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -132,20 +158,43 @@ def _parse_rows(path, lines):
             raise ParseError(f"{path}: row {i}: {exc}") from None
         if not (math.isfinite(d) and math.isfinite(t)):
             raise ParseError(f"{path}: row {i}: non-finite value")
+        if math.isinf(d * _RAD_S_PER_MHZ):
+            raise ParseError(f"{path}: row {i}: {d:g} MHz overflows in rad/s")
         grid.append(d)
         trans.append(t)
         line_nos.append(i)
     if len(grid) < 2:
         raise ParseError(f"{path}: need at least 2 data rows")
-    falls = np.flatnonzero(np.diff(grid) <= 0)
+    rad = _RAD_S_PER_MHZ * np.array(grid)
+    falls = np.flatnonzero(np.diff(rad) <= 0)
     if falls.size:
-        raise ParseError(f"{path}: row {line_nos[falls[0] + 1]}: "
-                         f"delta grid is not strictly increasing")
-    return np.array([grid, trans])
+        k = falls[0] + 1
+        where = "" if grid[k] <= grid[k - 1] else " once in rad/s"
+        raise ParseError(f"{path}: row {line_nos[k]}: "
+                         f"delta grid is not strictly increasing{where}")
+    return np.array([rad, trans])
+
+
+def _check_grid_loads(grid_mhz) -> None:
+    """Raise ValueError unless the grid, written at 12 significant
+    digits, loads back finite and strictly increasing in rad/s.  Only a
+    grid with a gap of at most _SAFE_GAP relative, or a value past
+    _SAFE_MHZ, is formatted and parsed back to decide."""
+    if (grid_mhz.size and max(-grid_mhz[0], grid_mhz[-1]) <= _SAFE_MHZ
+            and (np.diff(grid_mhz) > _SAFE_GAP
+                 * np.maximum(-grid_mhz[:-1], grid_mhz[1:])).all()):
+        return
+    back = _to_rad_s(np.array([float(f"{x:.12g}") for x in grid_mhz]))
+    if not _increasing(back):
+        raise ValueError("12 significant digits do not keep this grid "
+                         "finite and strictly increasing in rad/s: the "
+                         "file would not load")
 
 
 def _spectrum_text(spec: Spectrum) -> str:
-    rows = np.column_stack([to_mhz(spec.delta_grid), spec.transmission])
+    grid = to_mhz(spec.delta_grid)
+    _check_grid_loads(grid)
+    rows = np.column_stack([grid, spec.transmission])
     body = ("%.12g,%.12g\n" * len(rows)) % tuple(rows.ravel().tolist())
     return f"{SPECTRUM_HEADER}\n{body}"
 
@@ -162,7 +211,9 @@ def _descriptor_lines(curve: DescriptorCurve):
 
 
 def export_csv(obj, path) -> None:
-    """Write a Spectrum or DescriptorCurve; byte-deterministic."""
+    """Write a Spectrum or DescriptorCurve; byte-deterministic.  Raises
+    ValueError, before the file is opened, for a spectrum whose grid the
+    12-digit text would not load back finite and strictly increasing."""
     if isinstance(obj, Spectrum):
         data = _spectrum_text(obj)
     elif isinstance(obj, DescriptorCurve):

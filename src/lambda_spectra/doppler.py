@@ -21,8 +21,7 @@ function (`scipy.special.wofz`).  `maxwell_mean_inverse` evaluates that
 average and `maxwell_mean_slope` the divided difference of two of them,
 which stays accurate as the two poles coalesce.  The exact scheme has no
 nodes; `model.maxwell_absorption`, the slab kernel of `propagation`, is
-built from these two functions, and the scheme is the scan config's
-default.
+built from these two functions, and every scan point runs it.
 
 `doppler_average` takes an arbitrary callable and so needs velocity nodes;
 it is the independent cross-check of the exact kernel.  Gauss-Hermite is
@@ -30,9 +29,8 @@ accurate when the integrand's structure is not much narrower than the node
 spacing (~0.28*ku near the center for 64 nodes); that holds for
 pressure-broadened optical lines but NOT for a bare radiative linewidth of
 a few MHz under a 250 MHz Doppler width.  The trapezoid rule on a
-truncated grid handles narrow integrands at the cost of more nodes.  An
-n-versus-2n refinement check guards against silently under-resolved
-features.
+truncated grid (+-6 ku) handles narrow integrands at the cost of more
+nodes.
 """
 
 from __future__ import annotations
@@ -46,13 +44,12 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.polynomial import polyval
 from scipy.special import wofz
 
-from .errors import QuadratureDivergence
-
 __all__ = ["QuadratureSpec", "doppler_average", "velocity_nodes",
            "maxwell_mean_inverse", "maxwell_mean_slope"]
 
-_REFINE_RTOL = 1e-4
 _SQRT_PI = np.sqrt(np.pi)
+# half-width of the trapezoid grid, in units of ku
+_TRUNCATION = 6.0
 # pole separation, relative to the scale on which the average varies,
 # below which `maxwell_mean_slope` uses its Taylor series
 _SLOPE_SERIES = 1e-3
@@ -71,25 +68,18 @@ _W3_SERIES = _W1_SERIES * (2 * _N + 2) * (2 * _N + 3)
 class QuadratureSpec:
     """Velocity-quadrature choice.
 
-    scheme      "exact", "gauss_hermite" or "trapezoid"
+    scheme      "exact", "gauss_hermite" or "trapezoid" (on +-6 ku)
     node_count  number of velocity nodes (>= 8; unused by exact)
-    truncation  half-width of the trapezoid grid in units of ku (>= 3;
-                used by trapezoid only)
-    refine      run the n-vs-2n refinement check on every call
     """
 
     scheme: str = "gauss_hermite"
     node_count: int = 64
-    truncation: float = 6.0
-    refine: bool = False
 
     def __post_init__(self):
         if self.scheme not in ("exact", "gauss_hermite", "trapezoid"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if self.node_count < 8:
             raise ValueError("node_count must be >= 8")
-        if self.scheme == "trapezoid" and self.truncation < 3:
-            raise ValueError("trapezoid truncation must be >= 3 (units of ku)")
 
 
 @lru_cache(maxsize=32)
@@ -113,31 +103,22 @@ def velocity_nodes(quad: QuadratureSpec, ku: float):
         t, w = _hermite(quad.node_count)
         w = w / w.sum()
         return w, ku * t
-    kv = np.linspace(-quad.truncation * ku, quad.truncation * ku, quad.node_count)
+    kv = np.linspace(-_TRUNCATION * ku, _TRUNCATION * ku, quad.node_count)
     w = np.exp(-((kv / ku) ** 2))
     return w / w.sum(), kv
-
-
-def _average(chi_of_detuning, big_delta: float, ku: float, quad: QuadratureSpec):
-    w, kv = velocity_nodes(quad, ku)
-    vals = np.asarray([chi_of_detuning(big_delta - v) for v in kv])
-    return complex(np.dot(w, vals))
 
 
 def doppler_average(chi_of_detuning: Callable[[float], complex],
                     big_delta: float, ku: float,
                     quad: QuadratureSpec | None = None) -> complex:
-    """Average chi over the Maxwell velocity distribution.
+    """Average chi over the Maxwell velocity distribution: the weighted
+    sum of chi(big_delta - kv) over `velocity_nodes`.
 
     chi_of_detuning maps a velocity-shifted one-photon detuning (rad/s) to
     a complex susceptibility; it must be defined on the sampled range and
-    re-entrant.  For ku = 0 the integral is bypassed and chi(big_delta) is
-    returned exactly.
-
-    With quad.refine set, the result is compared against a run with twice
-    the node count; QuadratureDivergence is raised if they differ by more
-    than 1e-4 relative (an under-resolved narrow feature).  A callable has
-    no poles to sum over, so the exact scheme raises ValueError.
+    re-entrant.  For ku = 0 the single node returns chi(big_delta)
+    exactly.  A callable has no poles to sum over, so the exact scheme
+    raises ValueError.
     """
     if ku < 0:
         raise ValueError("ku must be >= 0")
@@ -145,21 +126,8 @@ def doppler_average(chi_of_detuning: Callable[[float], complex],
         quad = QuadratureSpec()
     if quad.scheme == "exact":
         raise ValueError("doppler_average needs a node scheme, not 'exact'")
-    if ku == 0.0:
-        return complex(chi_of_detuning(big_delta))
-
-    coarse = _average(chi_of_detuning, big_delta, ku, quad)
-    if quad.refine:
-        fine = _average(chi_of_detuning, big_delta, ku,
-                        QuadratureSpec(quad.scheme, 2 * quad.node_count,
-                                       quad.truncation))
-        scale = max(abs(fine), abs(coarse))
-        if scale > 0 and abs(fine - coarse) > _REFINE_RTOL * scale:
-            raise QuadratureDivergence(
-                f"{quad.scheme} with {quad.node_count} nodes is not "
-                f"converged: n vs 2n differ by "
-                f"{abs(fine - coarse) / scale:.2e} relative")
-    return coarse
+    w, kv = velocity_nodes(quad, ku)
+    return complex(np.dot(w, [chi_of_detuning(big_delta - v) for v in kv]))
 
 
 def maxwell_mean_inverse(p, big_delta: float, ku: float):

@@ -32,12 +32,6 @@ class NoSignChange(LambdaSpectraError):
     bracketing interval (e.g. ground-state decoherence too large)."""
 
 
-class QuadratureDivergence(LambdaSpectraError):
-    """Velocity-average refinement check failed: doubling the node count
-    moved the result by more than the tolerance, i.e. the integrand has
-    structure the quadrature cannot resolve."""
-
-
 class ZeroBackground(LambdaSpectraError):
     """Reference transmission underflowed; the cell is opaque and the
     normalized spectrum is undefined."""

@@ -30,7 +30,7 @@ slab costs one wofz call per grid point.  A node scheme (Gauss-Hermite,
 trapezoid) averages the same integrands over velocity nodes instead, as
 the independent cross-check.  At ku = 0 every scheme evaluates them at
 x = Delta.  `scan` sizes grids and slabs with the node form of the
-plateau and alpha_d, `_background_alphas`.
+plateau and alpha_d, `_node_alphas` on an empty grid.
 
 Transmission values are I_p(L)/I_p(0), unnormalized; the spectrum carries
 the baseline, and `normalize` divides by it.
@@ -71,8 +71,9 @@ class SlabConfig:
 class Spectrum:
     """Transmission sampled on a two-photon-detuning grid (rad/s).
 
-    Checked when built (ValueError): one shape, a strictly increasing
-    grid, finite transmission.  `transmit` and `normalize` keep T >= 0.
+    Checked when built (ValueError): one shape, a finite and strictly
+    increasing grid, finite transmission.  `transmit` and `normalize`
+    keep T >= 0.
 
     baseline   coherence-free plateau transmission of the same cell (as
                marched by `transmit`); 1.0 once normalized, None if unknown
@@ -93,41 +94,32 @@ class Spectrum:
         if not (self.delta_grid.shape == self.transmission.shape
                 == self.gain_flag.shape):
             raise ValueError("grid, transmission and gain_flag shapes differ")
+        if not np.all(np.isfinite(self.delta_grid)):
+            raise ValueError("delta_grid contains non-finite values")
         if np.any(np.diff(self.delta_grid) <= 0):
             raise ValueError("delta_grid must be strictly increasing")
         if not np.all(np.isfinite(self.transmission)):
             raise ValueError("transmission contains non-finite values")
 
 
-def _background_alphas(g, od2, w, deff, populations, kappa):
-    """Doppler-averaged (plateau, drive) absorption coefficients over
-    velocity nodes.
-
-    populations is one `drive_only_populations` result at the local drive
-    od2 = |omega_d|^2, over the velocity classes deff = Delta - kv with
-    weights w.  plateau is the |delta| -> infinity limit of the probe
-    coefficient, drive is alpha_d.  Both scale with kappa; pass kappa*L for
-    optical depths.
-    """
-    pb, pc = populations
+def _node_alphas(rates: Rates, od2: float, w, deff, delta_grid, kappa):
+    """(probe alpha on delta_grid, plateau, alpha_d) averaged over the
+    velocity nodes (w, deff = Delta - kv) at the drive od2 = |omega_d|^2,
+    each proportional to kappa, as in `maxwell_absorption`, which also
+    skips the probe term on an empty grid.  kappa = 0 absorbs nothing; at
+    gamma = 0, which it implies, the nodes' Lorentzians would be 0/0 at
+    deff = 0."""
+    if kappa == 0.0:
+        return np.zeros(delta_grid.shape), 0.0, 0.0
+    g = rates.gamma
+    pb, pc = drive_only_populations(rates, np.sqrt(od2), deff)
     g2d2 = g * g + deff * deff
     plateau = kappa * float(np.dot(w, (g * pb + g * od2 / g2d2 * pc) / g2d2))
     drive = kappa * g * float(np.dot(w, pc / g2d2))
-    return plateau, drive
-
-
-def _node_alphas(rates: Rates, od2: float, w, deff, delta_grid, kappa):
-    """(probe alpha on delta_grid, plateau, alpha_d) averaged over the
-    velocity nodes (w, deff = Delta - kv).  kappa = 0 absorbs nothing, as
-    in `maxwell_absorption`; at gamma = 0, which it implies, the nodes'
-    Lorentzians would be 0/0 at deff = 0."""
-    if kappa == 0.0:
-        return np.zeros(delta_grid.shape), 0.0, 0.0
-    pb, pc = drive_only_populations(rates, np.sqrt(od2), deff)
-    plateau, drive = _background_alphas(rates.gamma, od2, w, deff, (pb, pc),
-                                        kappa)
+    if not delta_grid.size:
+        return np.zeros(0), plateau, drive
     chi = weak_probe_susceptibility(
-        rates.gamma, rates.gamma_bc, od2, deff[:, None], delta_grid[None, :],
+        g, rates.gamma_bc, od2, deff[:, None], delta_grid[None, :],
         pb[:, None], pc[:, None], kappa)
     return w @ chi.imag, plateau, drive
 

@@ -37,14 +37,16 @@ import numpy as np
 from . import __version__
 from .analytic import (LineshapeParams, ac_stark_shift,
                        density_narrowed_width)
-from .csvio import DescriptorCurve, DescriptorRow, export_csv
+from .csvio import (DescriptorCurve, DescriptorRow, _check_grid_loads,
+                    export_csv)
 from .doppler import QuadratureSpec, velocity_nodes
 from .errors import ConfigError, DegenerateSpectrum, NonPhysicalValue
 from .fitting import fit_lineshape
-from .model import Fields, Medium, Rates, drive_only_populations
-from .propagation import (_EXACT, SlabConfig, Spectrum, _background_alphas,
-                          normalize, transmit)
-from .units import cm, khz, mhz, nm, per_cm3
+# drive_only_populations is unused here: perfbench's traced counts bind it
+from .model import Fields, Medium, Rates, drive_only_populations  # noqa: F401
+from .propagation import (_EXACT, _NO_GRID, SlabConfig, Spectrum,
+                          _node_alphas, normalize, transmit)
+from .units import cm, khz, mhz, nm, per_cm3, to_mhz
 
 __all__ = ["ScanConfig", "load_config", "parse_config", "preset_config",
            "preset_names", "auto_delta_grid", "run_scan", "scan_point"]
@@ -180,6 +182,13 @@ def _validate(values: dict, origin: str) -> None:
         bad("delta_grid", "span_khz", "the explicit grid [delta_grid] "
             f"center_khz +- span_khz must lie within {_MAX_RATE:g} rad/s and "
             "strictly increase (span_khz > 0, above float resolution)")
+    if values[("delta_grid", "mode")] == "explicit":
+        try:
+            _check_grid_loads(to_mhz(cfg.explicit_grid()))
+        except ValueError:
+            bad("delta_grid", "span_khz", "the explicit grid's points must "
+                "stay apart at the 12 significant digits of the spectrum "
+                "CSVs: widen span_khz or lower points")
     if values[("sweep", "points")] < 1:
         bad("sweep", "points", "sweep needs at least 1 point")
     ends = [abs(values[("sweep", k)]) for k in ("start_mhz", "stop_mhz")]
@@ -324,14 +333,9 @@ def _background_depths(rates: Rates, fields: Fields,
                        medium: Medium) -> tuple[float, float]:
     """Doppler-averaged background optical depths (probe, drive) at the
     entry drive intensity; cheap estimates used to size grids and slabs."""
-    kl = medium.kappa_L(rates.gamma_r)
-    if kl <= 0:
-        return 0.0, 0.0
     w, kv = velocity_nodes(QuadratureSpec(node_count=32), medium.ku)
-    deff = fields.big_delta - kv
-    pops = drive_only_populations(rates, fields.omega_d, deff)
-    return _background_alphas(rates.gamma, fields.omega_d**2, w, deff, pops,
-                              kl)
+    return _node_alphas(rates, fields.omega_d**2, w, fields.big_delta - kv,
+                        _NO_GRID, medium.kappa_L(rates.gamma_r))[1:]
 
 
 def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,

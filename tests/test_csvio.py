@@ -5,13 +5,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lambda_spectra import (DescriptorCurve, DescriptorRow, LineshapeParams,
                             ParseError, SchemaMismatch, Spectrum, export_csv,
                             fit_lineshape, load_spectrum_csv)
 from lambda_spectra import csvio
+from lambda_spectra.cli import main
 from lambda_spectra.csvio import DESCRIPTOR_HEADER, SPECTRUM_HEADER
 from lambda_spectra.units import khz, mhz
 
@@ -224,6 +225,79 @@ def test_non_monotone_grid_rejected(tmp_path):
     p.write_text(f"{SPECTRUM_HEADER}\n1,0.5\n\n3,0.5\n2,0.5\n", encoding="utf-8")
     with pytest.raises(ParseError, match="row 5: .*increasing"):
         load_spectrum_csv(p)
+
+
+@pytest.mark.parametrize("body, row", [
+    # adjacent doubles in MHz that are one double in rad/s
+    ("0,1\n1000000.0000000002,1\n1000000.0000000003,1\n", 4),
+    # finite in MHz, past the float range in rad/s
+    ("0,1\n1e303,1\n", 3),
+    ("-1e303,1\n0,1\n1,1\n", 2),
+])
+def test_grid_checked_in_rad_per_s(tmp_path, capsys, body, row):
+    # a ParseError naming the line, and no RuntimeWarning (an error here)
+    p = tmp_path / "s.csv"
+    p.write_text(f"{SPECTRUM_HEADER}\n{body}", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"row {row}: "):
+        load_spectrum_csv(p)
+    assert main(["fit", str(p)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_export_refuses_a_grid_load_would_refuse(tmp_path):
+    # 12 digits write the first two points as the same row
+    grid = mhz(1.0) * np.array([1.0, 1.0 + 1e-12, 2.0])
+    path = tmp_path / "s.csv"
+    with pytest.raises(ValueError, match="would not load"):
+        export_csv(Spectrum(delta_grid=grid, transmission=np.ones(3)), path)
+    assert not path.exists()
+
+
+@st.composite
+def _near_colliding_grid(draw):
+    """2-3 grid points in rad/s, each 1e4 to 2e5 ulps or 3e-13 to 3e-11
+    of itself above the last (12 digits keep neighbours apart from about
+    1e-11 relative), from subnormal to the top of the float range."""
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    x = sign * 10.0 ** draw(st.floats(-323.0, 308.25))
+    grid = [x]
+    for _ in range(draw(st.integers(1, 2))):
+        x = grid[-1]
+        if draw(st.booleans()):
+            step = int(10.0 ** draw(st.floats(4.0, 5.3))) * np.spacing(abs(x))
+        else:
+            step = abs(x) * 10.0 ** draw(st.floats(-12.5, -10.5))
+        grid.append(float(x + step))
+    return np.array(grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=_near_colliding_grid())
+# at the top of the float range, 12 digits round the first grid up to
+# inf in rad/s, and the second not
+@example(grid=np.array([1e308, 1.7976931348623155e308]))
+@example(grid=np.array([1e308, 1.7976931348423573e308]))
+def test_export_refuses_exactly_what_load_refuses(tmp_path_factory, grid):
+    assume(np.isfinite(grid).all() and (np.diff(grid) > 0).all())
+    spec = Spectrum(delta_grid=grid, transmission=np.ones(grid.size))
+    tmp = tmp_path_factory.mktemp("edge")
+    # the file the schema describes, written without export_csv
+    written = tmp / "written.csv"
+    written.write_text(SPECTRUM_HEADER + "\n" + "".join(
+        f"{d / mhz(1.0):.12g},1\n" for d in grid), encoding="utf-8")
+    try:
+        load_spectrum_csv(written)
+        loads = True
+    except ParseError:
+        loads = False
+    exported = tmp / "exported.csv"
+    if loads:
+        export_csv(spec, exported)
+        assert exported.read_bytes() == written.read_bytes()
+    else:
+        with pytest.raises(ValueError, match="would not load"):
+            export_csv(spec, exported)
+        assert not exported.exists()
 
 
 def test_dispersion_fixture_fits_as_quarter_turn(tmp_path):

@@ -99,11 +99,14 @@ class TestTransmit:
             assert t == pytest.approx(np.exp(-alpha_of(d) * med.length),
                                       rel=1e-9)
 
-    def test_richardson_at_defaults(self):
-        # doubling the default slab count moves T by less than 1e-6
+    @pytest.mark.parametrize("quad", [QuadratureSpec(), EXACT],
+                             ids=["gauss_hermite", "exact"])
+    def test_richardson_at_defaults(self, quad):
+        # doubling the default slab count moves T by less than 1e-6, for
+        # the node scheme and for the exact kernel every scan point runs
         rates, f = rates30(), fields30()
         grid = np.linspace(-mhz(1.5), mhz(1.5), 41)
-        t128, t256 = (transmit(rates, f, MED30, QuadratureSpec(),
+        t128, t256 = (transmit(rates, f, MED30, quad,
                                SlabConfig(n), grid).transmission
                       for n in (128, 256))
         assert np.max(np.abs(t256 - t128)) < 1e-6
@@ -425,6 +428,9 @@ def test_spectrum_validation():
     with pytest.raises(ValueError, match="non-finite"):
         Spectrum(delta_grid=np.array([0.0, 1.0]),
                  transmission=np.array([1.0, np.inf]))
+    for grid in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="delta_grid contains non-finite"):
+            Spectrum(delta_grid=np.array(grid), transmission=np.ones(3))
     with pytest.raises(ValueError, match="shapes"):
         Spectrum(delta_grid=np.array([0.0, 1.0]), transmission=np.ones(2),
                  gain_flag=np.zeros(3, dtype=bool))

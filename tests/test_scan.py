@@ -241,6 +241,15 @@ class TestConfig:
             parse_config(CHEAP_CONFIG.replace("mode = auto",
                                               "mode = auto\nspan_khz = -1"))
 
+    def test_explicit_grid_must_survive_the_csv(self):
+        # strictly increasing in rad/s, but 1e-12 relative steps that 12
+        # significant digits would write as equal rows
+        fine = CHEAP_CONFIG.replace(
+            "mode = auto", "mode = explicit\ncenter_khz = 1000\nspan_khz = 1e-7")
+        with pytest.raises(ConfigError, match=r"\[delta_grid\] span_khz: .*12"):
+            parse_config(fine)
+        parse_config(fine.replace("span_khz = 1e-7", "span_khz = 1e-3"))
+
     def test_sweep_of_several_points_needs_width(self):
         flat = CHEAP_CONFIG.replace("start_mhz = 0\nstop_mhz = 1600",
                                     "start_mhz = 100\nstop_mhz = 100")
