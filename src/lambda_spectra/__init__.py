@@ -2,9 +2,10 @@
 
 Steady-state density matrix and susceptibility (`model`), closed-form
 lineshape quantities (`analytic`), Maxwell velocity averaging (`doppler`),
-optically thick slab propagation (`propagation`), empirical-lineshape
-fitting (`fitting`), Zeeman dark-state algebra (`hanle`), and a sweep
-harness with CLI (`scan`, `cli`).
+propagation through the optically thick cell as a z-quadrature
+(`propagation`), empirical-lineshape fitting (`fitting`), Zeeman
+dark-state algebra (`hanle`), and a sweep harness with CLI (`scan`,
+`cli`).
 """
 
 __version__ = "0.1.0"

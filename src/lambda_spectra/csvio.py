@@ -192,6 +192,9 @@ def _check_grid_loads(grid_mhz) -> None:
 
 
 def _spectrum_text(spec: Spectrum) -> str:
+    if spec.delta_grid.size < 2:
+        raise ValueError(f"a spectrum of {spec.delta_grid.size} point(s) "
+                         "would not load: the file needs at least 2 rows")
     grid = to_mhz(spec.delta_grid)
     _check_grid_loads(grid)
     rows = np.column_stack([grid, spec.transmission])
@@ -212,8 +215,9 @@ def _descriptor_lines(curve: DescriptorCurve):
 
 def export_csv(obj, path) -> None:
     """Write a Spectrum or DescriptorCurve; byte-deterministic.  Raises
-    ValueError, before the file is opened, for a spectrum whose grid the
-    12-digit text would not load back finite and strictly increasing."""
+    ValueError, before the file is opened, for a spectrum of fewer than 2
+    points or whose grid the 12-digit text would not load back finite and
+    strictly increasing."""
     if isinstance(obj, Spectrum):
         data = _spectrum_text(obj)
     elif isinstance(obj, DescriptorCurve):

@@ -20,7 +20,7 @@ and its mirror image above the real axis, where w is the Faddeeva
 function (`scipy.special.wofz`).  `maxwell_mean_inverse` evaluates that
 average and `maxwell_mean_slope` the divided difference of two of them,
 which stays accurate as the two poles coalesce.  The exact scheme has no
-nodes; `model.maxwell_absorption`, the slab kernel of `propagation`, is
+nodes; `model.maxwell_absorption`, the kernel of `propagation`, is
 built from these two functions, and every scan point runs it.
 
 `doppler_average` takes an arbitrary callable and so needs velocity nodes;

@@ -36,7 +36,7 @@ populated levels).
 The weak-probe absorption built from `drive_only_populations` and
 `weak_probe_susceptibility` is rational in the velocity-shifted detuning,
 so `maxwell_absorption` averages it over the Maxwell distribution in
-closed form; it is the slab kernel of `propagation`.
+closed form; it is the absorption kernel of `propagation`'s z rule.
 """
 
 from __future__ import annotations
@@ -387,7 +387,7 @@ def maxwell_absorption(rates: Rates, od2: float, big_delta: float, ku: float,
     k = (0.5 * c - 1.5 + gr / g) / a
     plateau = kappa * (0.5 * two_level + k * (two_level - g * v))
     drive = kappa * 0.5 * g * v
-    if not delta_grid.size:  # the march's drive-only midpoint step
+    if not delta_grid.size:  # a drive-only step of the depletion solve
         return np.zeros(0), plateau, drive
 
     x0 = -delta_grid - 1j * (g + od2 / gcb)

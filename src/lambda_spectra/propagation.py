@@ -1,47 +1,51 @@
 """Probe and drive attenuation through the optically thick cell.
 
-The cell is marched in z with a fixed number of slabs.  In each slab the
-Doppler-averaged probe absorption coefficient is evaluated from the local
-Rabi frequencies (weak-probe linear response around the exact drive-only
-steady state), the probe intensity is updated by exp(-alpha dz) (exact for
-piecewise-constant alpha), and the drive is attenuated with its own
-two-level absorption coefficient
+The probe is linear and the drive does not depend on the two-photon
+detuning delta, so the unnormalized transmission is exactly
 
+    T(delta) = exp(-tau(delta)),   tau(delta) = L int_0^1 alpha(I_d(s), delta) ds
+
+in the scaled depth s = z/L, where the cell enters only through kappa L.
+The drive obeys its own scalar equation
+
+    d ln(I_d / I_d(0)) / ds = -L alpha_d(I_d),
     alpha_d = kappa * gamma * (rho_cc - rho_aa) / (gamma^2 + Delta_eff^2)
 
-Doppler-averaged the same way; the drive update uses a midpoint intensity
-so that the scheme is second order in the slab width.  The drive
-attenuation model is a closure choice: the same lambda steady state feeds
-both coefficients, and the drive expression reduces to the plain two-level
-result.
+Doppler-averaged: the two-level coefficient of the drive, fed by the same
+lambda steady state as the probe (a closure choice that reduces to the
+plain two-level result).  `transmit` solves it once per point with an
+adaptive Runge-Kutta method (DOP853 with dense output) and then evaluates
+tau by Gauss-Legendre quadrature in s.  Local Rabi magnitudes scale as the
+square root of the local intensities.
 
-Local Rabi magnitudes scale as the square root of the local intensities.
+Beside the probe, the same rule integrates the coherence-free baseline:
+the |delta| -> infinity plateau of the absorption profile, which keeps the
+drive-pumped populations of the actual parameter set, on the same drive
+trajectory.
 
-Beside the probe, the march carries the coherence-free baseline: the
-|delta| -> infinity plateau of the absorption profile, which keeps the
-drive-pumped populations of the actual parameter set, marched on the same
-drive trajectory.
-
-One slab kernel gives all three coefficients (probe, plateau, alpha_d).
-Under the default exact scheme the integrands are rational in
-x = Delta - kv, and `model.maxwell_absorption` sums their residues times
-the Faddeeva function (pole sets and error bound in its docstring); a
-slab costs one wofz call per grid point.  A node scheme (Gauss-Hermite,
-trapezoid) averages the same integrands over velocity nodes instead, as
-the independent cross-check.  At ku = 0 every scheme evaluates them at
-x = Delta.  `scan` sizes grids and slabs with the node form of the
-plateau and alpha_d, `_node_alphas` on an empty grid.
+One kernel gives all three coefficients (probe, plateau, alpha_d).  Under
+the default exact scheme the integrands are rational in x = Delta - kv,
+and `model.maxwell_absorption` sums their residues times the Faddeeva
+function (pole sets and error bound in its docstring); a call costs one
+wofz call per grid point.  A node scheme (Gauss-Hermite, trapezoid)
+averages the same integrands over velocity nodes instead, as the
+independent cross-check.  At ku = 0 every scheme evaluates them at
+x = Delta.  `scan` sizes grids with the node form of the plateau and
+alpha_d, `_node_alphas` on an empty grid.
 
 Transmission values are I_p(L)/I_p(0), unnormalized; the spectrum carries
-the baseline, and `normalize` divides by it.
+the baseline and the z rule's error estimate, and `normalize` divides by
+the baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from .doppler import QuadratureSpec, velocity_nodes
 from .errors import ZeroBackground
@@ -52,15 +56,18 @@ __all__ = ["SlabConfig", "Spectrum", "transmit", "normalize",
            "reference_transmission"]
 
 _GAIN_TOL = 1e-6  # of kappa
+_Z_TOL = 1e-8  # optical depth: max |tau_n - tau_previous| that accepts GL-n
+_DRIVE_RTOL, _DRIVE_ATOL = 1e-10, 1e-13  # of ln(I_d/I_d(0)), DOP853
 _EXACT = QuadratureSpec("exact")
 _NO_GRID = np.zeros(0)
 
 
 @dataclass(frozen=True)
 class SlabConfig:
-    """Slab-march settings."""
+    """z-rule settings: slab_count is the largest Gauss-Legendre order the
+    ladder of `transmit` tries (at least 16)."""
 
-    slab_count: int = 128
+    slab_count: int = 64
 
     def __post_init__(self):
         if self.slab_count < 16:
@@ -76,15 +83,19 @@ class Spectrum:
     keep T >= 0.
 
     baseline   coherence-free plateau transmission of the same cell (as
-               marched by `transmit`); 1.0 once normalized, None if unknown
-    gain_flag  grid points where a slab had net probe gain beyond
-               1e-6*kappa; all False unless given
+               integrated by `transmit`); 1.0 once normalized, None if
+               unknown
+    gain_flag  grid points where the probe had net gain beyond 1e-6*kappa
+               at some z node; all False unless given
+    z_error    the z rule's error estimate in optical depth (see
+               `transmit`); None for a spectrum `transmit` did not make
     """
 
     delta_grid: np.ndarray
     transmission: np.ndarray
     baseline: Optional[float] = None
     gain_flag: Optional[np.ndarray] = None
+    z_error: Optional[float] = None
 
     def __post_init__(self):
         self.delta_grid = np.asarray(self.delta_grid, dtype=float)
@@ -124,49 +135,86 @@ def _node_alphas(rates: Rates, od2: float, w, deff, delta_grid, kappa):
     return w @ chi.imag, plateau, drive
 
 
-def _march(rates: Rates, fields: Fields, medium: Medium,
-           quad: QuadratureSpec, slab_count: int, delta_grid: np.ndarray,
-           attenuate_drive: bool):
-    """Shared slab march.  Returns (transmission, gain_flags, baseline)."""
-    kappa = medium.kappa(rates.gamma_r)
+def _ladder(cap: int) -> list:
+    """Gauss-Legendre orders 4, 6, 8, 12, 16, 24, ... below cap, then cap."""
+    orders = [4, 6]
+    while 2 * orders[-2] < cap:
+        orders.append(2 * orders[-2])
+    return [n for n in orders if n < cap] + [cap]
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _drive_od2(alphas, od2_entry: float):
+    """|omega_d|^2 as a function of s from one DOP853 solve of
+    d ln(I_d/I_d(0))/ds = -L alpha_d.  ln I_d is clamped at 0 wherever it
+    is read: the drive only decays, and a trial stage above 0 would
+    overflow exp at large kappa L.  The first trial step is the depth over
+    which the entry drive would fall by 1/e, at most the cell: from
+    ln I_d = 0 the solver's own guess starts about 1e-6 deep and spends
+    most of its calls growing the step."""
+    def od2(y):
+        return od2_entry * np.exp(np.minimum(y, 0.0))
+
+    depth = alphas(od2_entry, _NO_GRID)[2]
+    sol = solve_ivp(lambda _s, y: [-alphas(od2(y[0]), _NO_GRID)[2]],
+                    (0.0, 1.0), [0.0], method="DOP853", rtol=_DRIVE_RTOL,
+                    atol=_DRIVE_ATOL, dense_output=True,
+                    first_step=1.0 / max(depth, 1.0))
+    if not sol.success:
+        raise RuntimeError(f"drive depletion solve failed: {sol.message}")
+    return lambda s: od2(sol.sol(s)[0])
+
+
+def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
+                    quad: QuadratureSpec, cap: int, delta_grid: np.ndarray,
+                    attenuate_drive: bool):
+    """(tau on delta_grid, baseline tau, gain flags, z_error) of the z rule
+    that `transmit` describes; every coefficient is per unit s, so the cell
+    enters only through kappa L."""
+    kappa_l = medium.kappa_L(rates.gamma_r)
     if quad.scheme == "exact" and medium.ku > 0.0:
         def alphas(od2, grid):
             return maxwell_absorption(rates, od2, fields.big_delta,
-                                      medium.ku, grid, kappa)
+                                      medium.ku, grid, kappa_l)
     else:
         w, kv = velocity_nodes(quad, medium.ku)
         deff = fields.big_delta - kv
 
         def alphas(od2, grid):
-            return _node_alphas(rates, od2, w, deff, grid, kappa)
+            return _node_alphas(rates, od2, w, deff, grid, kappa_l)
+
+    def gain(alpha):
+        return alpha < -_GAIN_TOL * kappa_l
 
     od2_entry = fields.omega_d ** 2
-    dz = medium.length / slab_count
-    ip = np.ones(delta_grid.size)
-    baseline = 1.0
-    id_rel = 1.0  # drive intensity relative to entry
-    gain = np.zeros(delta_grid.size, dtype=bool)
-    deplete = attenuate_drive and kappa > 0.0
+    if not (attenuate_drive and kappa_l > 0.0 and od2_entry > 0.0):
+        tau, tau_b, _ = alphas(od2_entry, delta_grid)  # z-independent
+        return tau, tau_b, gain(tau), 0.0
 
-    for _ in range(slab_count):
-        od2 = od2_entry * id_rel
-        if deplete:
-            # midpoint (RK2) drive update; the coefficients below are
-            # evaluated at the midpoint drive intensity
-            alpha_d = alphas(od2, _NO_GRID)[2]
-            id_mid = id_rel * np.exp(-0.5 * alpha_d * dz)
-            od2 = od2_entry * id_mid
-
-        alpha, alpha_bg, alpha_d = alphas(od2, delta_grid)
-        baseline = baseline * np.exp(-alpha_bg * dz)
-        if kappa > 0.0:
-            gain |= alpha < -_GAIN_TOL * kappa
-        ip = ip * np.exp(-alpha * dz)
-
-        if deplete:
-            id_rel = id_rel * np.exp(-alpha_d * dz)
-
-    return ip, gain, float(baseline)
+    drive = _drive_od2(alphas, od2_entry)
+    previous = None
+    for n in _ladder(cap):
+        s, weights = _gauss_legendre(n)
+        tau, tau_b = np.zeros(delta_grid.size), 0.0
+        flags = np.zeros(delta_grid.size, dtype=bool)
+        for w_k, od2 in zip(weights, drive(s)):
+            alpha, alpha_b, _ = alphas(od2, delta_grid)
+            tau += w_k * alpha
+            tau_b += w_k * alpha_b
+            flags |= gain(alpha)
+        if previous is not None:
+            z_error = max(np.max(np.abs(tau - previous[0]), initial=0.0),
+                          abs(tau_b - previous[1]))
+            if z_error <= _Z_TOL:
+                break
+        previous = tau, tau_b
+    return tau, tau_b, flags, z_error
 
 
 def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
@@ -176,12 +224,26 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
              attenuate_drive: bool = True) -> Spectrum:
     """Unnormalized probe transmission I_p(L)/I_p(0) on a two-photon grid.
 
+    T = exp(-tau), with tau(delta) = sum_k w_k L alpha(I_d(s_k), delta)
+    over the n Gauss-Legendre nodes s_k of the scaled depth s = z/L.  The
+    drive intensity I_d(s) comes from one DOP853 solve of its depletion
+    equation per call (rtol 1e-10, atol 1e-13 on ln I_d, each right-hand
+    side one kernel call on an empty grid).  The orders n = 4, 6, 8, 12,
+    16, 24, 32, 48, ... up to slabs.slab_count (default 64) are tried in
+    turn; the first n whose tau, on the grid and for the baseline, moves
+    by at most 1e-8 against the previous order is accepted, and at the
+    cap the cap's result is returned.  That last difference is the
+    spectrum's `z_error`, in optical depth.  Where the drive cannot change
+    (attenuate_drive=False, kappa = 0 or omega_d = 0) alpha does not
+    depend on z: one kernel call gives tau = L alpha, and z_error is 0.
+
     fields_at_entry.small_delta is ignored; the grid supplies the
     two-photon detuning.  The returned spectrum carries the coherence-free
-    baseline of the same march in `baseline`, and flags in `gain_flag` the
-    grid points where a slab produced negative absorption beyond
-    1e-6*kappa; gain is physical in some Raman regimes, so it is recorded,
-    not fatal.  quad defaults to the exact Doppler average.
+    baseline of the same rule in `baseline`, and flags in `gain_flag` the
+    grid points where the probe coefficient at a node of the accepted
+    order is negative beyond 1e-6*kappa; gain is physical in some Raman
+    regimes, so it is recorded, not fatal.  quad defaults to the exact
+    Doppler average.
     """
     if medium.length <= 0:
         raise ValueError("medium.length must be > 0")
@@ -193,10 +255,12 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
     slabs = slabs or SlabConfig()
     delta_grid = np.asarray(delta_grid, dtype=float)
 
-    ip, gain, baseline = _march(rates, fields_at_entry, medium, quad,
-                                slabs.slab_count, delta_grid, attenuate_drive)
-    return Spectrum(delta_grid=delta_grid, transmission=ip,
-                    baseline=baseline, gain_flag=gain)
+    tau, tau_b, gain, z_error = _optical_depths(
+        rates, fields_at_entry, medium, quad, slabs.slab_count, delta_grid,
+        attenuate_drive)
+    return Spectrum(delta_grid=delta_grid, transmission=np.exp(-tau),
+                    baseline=float(np.exp(-tau_b)), gain_flag=gain,
+                    z_error=float(z_error))
 
 
 def reference_transmission(rates: Rates, fields: Fields, medium: Medium,
@@ -204,12 +268,10 @@ def reference_transmission(rates: Rates, fields: Fields, medium: Medium,
                            slabs: Optional[SlabConfig] = None,
                            attenuate_drive: bool = True) -> float:
     """Coherence-free baseline transmission: the |delta| -> infinity plateau
-    of the absorption profile marched through the same cell (the baseline
-    `transmit` returns, from a march over an empty grid)."""
-    quad = quad or _EXACT
-    slabs = slabs or SlabConfig()
-    return _march(rates, fields, medium, quad, slabs.slab_count,
-                  np.zeros(0), attenuate_drive)[2]
+    of the absorption profile through the same cell (the baseline
+    `transmit` returns for an empty grid)."""
+    return transmit(rates, fields, medium, quad, slabs, _NO_GRID,
+                    attenuate_drive).baseline
 
 
 def normalize(spectrum: Spectrum) -> Spectrum:
@@ -225,4 +287,5 @@ def normalize(spectrum: Spectrum) -> Spectrum:
         raise ZeroBackground(f"reference transmission underflowed ({ref!r})")
     return Spectrum(delta_grid=spectrum.delta_grid.copy(),
                     transmission=spectrum.transmission / ref,
-                    baseline=1.0, gain_flag=spectrum.gain_flag.copy())
+                    baseline=1.0, gain_flag=spectrum.gain_flag.copy(),
+                    z_error=spectrum.z_error)

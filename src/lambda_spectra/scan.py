@@ -15,8 +15,8 @@ so that both the broad near-resonance structure and the narrow far-detuned
 resonance stay resolved.
 
 Propagation settings are not configurable: every point runs the exact
-Doppler average, with a slab count scaled from the point's background
-depths and capped at 128.
+Doppler average and `transmit`'s Gauss-Legendre z rule at its default
+ladder (orders 4 to 64, accepted at a 1e-8 change in optical depth).
 
 Outputs are byte-deterministic for identical configs.  A scan refuses to
 write into a directory holding results from a different config (manifest
@@ -53,7 +53,6 @@ __all__ = ["ScanConfig", "load_config", "parse_config", "preset_config",
 
 MANIFEST_NAME = "scan_manifest.json"
 
-_MAX_SLABS = 128
 _MAX_GRID_POINTS = 3201
 # rad/s: each nonzero rate, drive and Doppler width lies in [_MIN_RATE,
 # _MAX_RATE], and each detuning and kappa*L is at most _MAX_RATE, so the
@@ -329,25 +328,22 @@ def config_text(cfg: ScanConfig) -> str:
 # ----------------------------------------------------------------------
 
 
-def _background_depths(rates: Rates, fields: Fields,
-                       medium: Medium) -> tuple[float, float]:
-    """Doppler-averaged background optical depths (probe, drive) at the
-    entry drive intensity; cheap estimates used to size grids and slabs."""
+def _background_depth(rates: Rates, fields: Fields, medium: Medium) -> float:
+    """Doppler-averaged background optical depth of the probe at the entry
+    drive intensity; a cheap estimate used to size grids."""
     w, kv = velocity_nodes(QuadratureSpec(node_count=32), medium.ku)
     return _node_alphas(rates, fields.omega_d**2, w, fields.big_delta - kv,
-                        _NO_GRID, medium.kappa_L(rates.gamma_r))[1:]
+                        _NO_GRID, medium.kappa_L(rates.gamma_r))[1]
 
 
 def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
-                    base_points: int = 801,
-                    depths: tuple[float, float] | None = None) -> np.ndarray:
+                    base_points: int = 801) -> np.ndarray:
     """Two-photon grid adapted to the resonance at this one-photon detuning.
 
     Centered on the ac-Stark shift; the span covers the analytic width, the
     Doppler spread of the shift, and the surrounding baseline; the point
     count keeps the expected fitted width (including density narrowing in
     the optically thick near-resonant case) sampled by several points.
-    depths is `_background_depths` of the same point, if already computed.
     """
     g, gbc = rates.gamma, rates.gamma_bc
     od = fields.omega_d
@@ -365,9 +361,7 @@ def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
     else:
         spread = 0.0
 
-    if depths is None:
-        depths = _background_depths(rates, fields, medium)
-    od_bg = depths[0]
+    od_bg = _background_depth(rates, fields, medium)
     kl = medium.kappa_L(rates.gamma_r)
 
     span = (30.0 * max(w_nat, spread / 3.0) / math.sqrt(1.0 + min(od_bg, 30.0))
@@ -388,35 +382,22 @@ def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
     return d0 + np.linspace(-span, span, points)
 
 
-def _adaptive_slabs(depths: tuple[float, float]) -> SlabConfig:
-    """Scale the slab count with the (probe, drive) background depths: the
-    probe coefficient varies in z only through drive depletion, so
-    thin-drive points need few slabs regardless of the probe's own
-    depth."""
-    probe_od, drive_od = depths
-    lever = math.sqrt(drive_od * (1.0 + probe_od))
-    n = 16 * (1 + round(4.0 * lever))
-    return SlabConfig(slab_count=min(n, _MAX_SLABS))
-
-
 def scan_point(cfg: ScanConfig, big_delta: float) -> tuple[Spectrum, DescriptorRow]:
     """Run one sweep point: grid, transmit, normalize, fit."""
     rates = cfg.rates()
     medium = cfg.medium()
     fields = cfg.fields(big_delta)
-    depths = _background_depths(rates, fields, medium)
 
     if cfg.get("delta_grid", "mode") == "explicit":
         grid = cfg.explicit_grid()
     else:
         grid = auto_delta_grid(rates, fields, medium,
-                               base_points=cfg.get("delta_grid", "points"),
-                               depths=depths)
+                               base_points=cfg.get("delta_grid", "points"))
 
     # quad and slabs stay explicit: perfbench's traced counts read them
-    # from this call's arguments
+    # from this call's arguments (slab_count is the z rule's largest order)
     spec = normalize(transmit(rates, fields, medium, _EXACT,
-                              _adaptive_slabs(depths), grid))
+                              SlabConfig(), grid))
     gain = bool(np.any(spec.gain_flag))
 
     try:

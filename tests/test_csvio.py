@@ -253,6 +253,17 @@ def test_export_refuses_a_grid_load_would_refuse(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("points", [0, 1])
+def test_export_refuses_fewer_than_two_points(tmp_path, points):
+    # load needs at least 2 data rows
+    path = tmp_path / "s.csv"
+    spec = Spectrum(delta_grid=mhz(1.0) * np.arange(points),
+                    transmission=0.5 * np.ones(points))
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        export_csv(spec, path)
+    assert not path.exists()
+
+
 @st.composite
 def _near_colliding_grid(draw):
     """2-3 grid points in rad/s, each 1e4 to 2e5 ulps or 3e-13 to 3e-11
