@@ -1,15 +1,17 @@
 """Closed-form lineshape quantities of the two-photon resonance.
 
-These are the strong-drive analytic expressions: the absorption profile
-versus two-photon detuning, the ac-Stark shift of the resonance center, the
-effective width, the symmetric/antisymmetric/background amplitudes of the
-empirical lineshape, the one-photon detuning at which the symmetric
-amplitude changes sign, and the density-narrowed width of the resonance in
-an optically thick cell.
+These are the strong-drive analytic expressions: the population
+differences, the absorption profile versus two-photon detuning, the
+ac-Stark shift of the resonance center, the effective width, the
+symmetric/antisymmetric/background amplitudes of the empirical lineshape,
+the one-photon detuning at which the symmetric amplitude changes sign, and
+the density-narrowed width of the resonance in an optically thick cell.
 
-They are evaluated verbatim; their validity domain (optically thin medium,
-strong drive, two-photon detuning small against the optical linewidth) is
-the caller's responsibility.  Exact counterparts live in `model`.
+Each is stated once and evaluated in closed form, with no root search;
+their validity domain (optically thin medium, strong drive, two-photon
+detuning small against the optical linewidth) is the caller's
+responsibility.  Exact counterparts live in `model`, which holds no
+approximation.
 
 `absorption_profile` states that domain in numbers.  It is the leading
 order of the exact weak-probe response in
@@ -28,14 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import DegenerateRates, NoSignChange
-from .model import Fields, Medium, Rates, population_differences
+from .model import Fields, Medium, Rates
 
 __all__ = [
     "LineshapeParams",
     "lineshape",
+    "population_differences",
     "absorption_profile",
     "ac_stark_shift",
     "resonance_width",
@@ -43,9 +44,6 @@ __all__ = [
     "sign_change_detuning",
     "density_narrowed_width",
 ]
-
-# sign_change_detuning searches A's root on [0, _SIGN_CHANGE_BRACKET*gamma]
-_SIGN_CHANGE_BRACKET = 10.0
 
 
 def lineshape(delta, A, B, C, gt, d0):
@@ -95,6 +93,26 @@ class LineshapeParams:
         if self.A == 0.0 and self.B == 0.0:
             return 0.0
         return math.atan2(self.B, self.A)
+
+
+def population_differences(rates: Rates, fields: Fields) -> tuple[float, float]:
+    """Strong-drive closed forms for (rho_aa - rho_bb, rho_aa - rho_cc).
+
+    Both values lie in [-1, 0].  Raises DegenerateRates when the shared
+    denominator 2*gamma_bc*Delta^2 + gamma*|omega_d|^2 vanishes.  The exact
+    drive-only populations are `model.drive_only_populations`.
+    """
+    g, gbc = rates.gamma, rates.gamma_bc
+    dl = fields.big_delta
+    od2 = fields.omega_d**2
+    den = 2.0 * gbc * dl * dl + g * od2
+    if den == 0.0:
+        raise DegenerateRates(
+            "2*gamma_bc*Delta^2 + gamma*|omega_d|^2 = 0: population "
+            "redistribution is undefined")
+    paa_minus_pbb = -(gbc * dl * dl + g * od2) / den
+    paa_minus_pcc = -gbc * (dl * dl + g * g) / den
+    return paa_minus_pbb, paa_minus_pcc
 
 
 def ac_stark_shift(big_delta: float, omega_d: float, gamma: float) -> float:
@@ -194,37 +212,39 @@ def lineshape_coefficients(rates: Rates, fields: Fields,
             "gamma^2 |omega_d|^4 + gamma_bc^2 Delta^2 (gamma^2+Delta^2) = 0")
     eta = -population_differences(rates, fields)[0]
     kl = medium.kappa_L(rates.gamma_r)
-    a = kl * eta * od2 / g2d2 * _a_numerator(dl, g, gbc, od2) / den
+    a_num = g * od2 * (g * g - dl * dl) - gbc * g2d2**2
+    a = kl * eta * od2 / g2d2 * a_num / den
     b = -kl * eta * dl / g2d2
     c = 1.0 - kl * eta * g / g2d2
     return a, b, c, eta
 
 
-def _a_numerator(dl: float, g: float, gbc: float, od2: float) -> float:
-    """Sign-carrying numerator of A; eta and A's denominator are positive
-    wherever A is defined."""
-    g2d2 = g * g + dl * dl
-    return g * od2 * (g * g - dl * dl) - gbc * g2d2**2
-
-
 def sign_change_detuning(rates: Rates, fields: Fields) -> tuple[float, float]:
-    """One-photon detuning at which the symmetric amplitude A crosses zero.
+    """One-photon detuning Delta_0 >= 0 at which the symmetric amplitude A
+    changes sign, and its approximation gamma - 2 gamma_bc gamma^2/|omega_d|^2.
 
-    Returns (root, approximation): the root is found by Brent's method on
-    A's numerator over [0, 10*gamma] to 1e-9*gamma; the approximation is the
-    closed form gamma - 2*gamma_bc*gamma^2/|omega_d|^2.  Raises NoSignChange
-    when A has no positive real root in the bracket.
+    A's numerator g |od|^2 (g^2 - D^2) - g_bc (g^2 + D^2)^2 is quadratic in
+    D^2; its positive root, in a form that does not cancel (exactly gamma
+    at gamma_bc = 0), is
+
+        Delta_0 = g sqrt(2 (|od|^2 - g g_bc)
+                         / (|od|^2 + 2 g g_bc + |od| sqrt(|od|^2 + 8 g g_bc)))
+
+    and never exceeds gamma, where the numerator is -4 g_bc g^4 <= 0.
+    Raises DegenerateRates at omega_d = 0 and NoSignChange where
+    |omega_d|^2 <= gamma gamma_bc, where A is nowhere positive.
     """
     g, gbc = rates.gamma, rates.gamma_bc
-    od2 = fields.omega_d**2
+    od = fields.omega_d
+    od2 = od**2
     if od2 <= 0:
         raise DegenerateRates("sign_change_detuning requires omega_d > 0")
-    hi = _SIGN_CHANGE_BRACKET * g
-    if _a_numerator(0.0, g, gbc, od2) <= 0 or _a_numerator(hi, g, gbc, od2) >= 0:
-        raise NoSignChange(
-            "symmetric amplitude does not change sign on the bracket "
-            f"[0, {_SIGN_CHANGE_BRACKET:g}*gamma]")
-    root = brentq(_a_numerator, 0.0, hi, args=(g, gbc, od2), xtol=1e-9 * g)
+    r = g * gbc
+    if not (g > 0 and od2 > r):
+        raise NoSignChange("the symmetric amplitude has no sign change: "
+                           "needs |omega_d|^2 > gamma*gamma_bc")
+    root = g * math.sqrt(2.0 * (od2 - r)
+                         / (od2 + 2.0 * r + od * math.sqrt(od2 + 8.0 * r)))
     approx = g - 2.0 * gbc * g * g / od2
     return root, approx
 
@@ -232,22 +252,21 @@ def sign_change_detuning(rates: Rates, fields: Fields) -> tuple[float, float]:
 def density_narrowed_width(medium: Medium, rates: Rates, fields: Fields) -> float:
     """Resonance width in the optically thick cell, narrowed by density:
 
-        gamma_D(Delta) = |omega_d|^2 / sqrt(gamma gamma_r)
-                         * ((3/8pi) N lambda^2 L)^(-1/2)
+        gamma_D(Delta) = |omega_d|^2 / sqrt(gamma kappa L)
                          * exp(Delta^2 / (2 (ku)^2))
 
+    with the resonant optical-depth scale kappa L of `Medium.kappa_L`.
     The exponential reflects the thinning of the resonant velocity group
     with one-photon detuning; the Delta = 0 prefactor anchors the otherwise
     proportional-only expression.  Valid only near one-photon resonance.
     Where the exponential leaves the float range (|Delta| beyond about
     37.7 ku) the width is math.inf.
     """
-    g, gr = rates.gamma, rates.gamma_r
-    nl = (3.0 / (8.0 * math.pi)) * medium.density * medium.wavelength**2 * medium.length
-    if nl <= 0 or g * gr <= 0:
-        raise DegenerateRates("density_narrowed_width requires N*L > 0 and "
-                              "gamma*gamma_r > 0")
-    width0 = fields.omega_d**2 / math.sqrt(g * gr) / math.sqrt(nl)
+    g_kl = rates.gamma * medium.kappa_L(rates.gamma_r)
+    if not g_kl > 0:
+        raise DegenerateRates("density_narrowed_width requires "
+                              "gamma * kappa L > 0")
+    width0 = fields.omega_d**2 / math.sqrt(g_kl)
     if medium.ku == 0:
         return width0
     try:

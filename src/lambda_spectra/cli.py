@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    lambda-spectra run <config.ini> [--preset NAME] [--output DIR]
+    lambda-spectra run (<config.ini> | --preset NAME) [--output DIR]
     lambda-spectra fit <spectrum.csv>
     lambda-spectra presets
     lambda-spectra validate <config.ini>
@@ -28,12 +28,15 @@ EXIT_OK, EXIT_CONFIG, EXIT_IO = 0, 2, 3
 
 
 def _cmd_run(args) -> int:
+    if args.preset and args.config:
+        raise ConfigError(f"run takes a config file or --preset, not both: "
+                          f"got {args.config} and --preset {args.preset}")
     if args.preset:
         cfg = preset_config(args.preset, output_dir=args.output)
-    else:
-        if not args.config:
-            raise ConfigError("run needs a config file or --preset")
+    elif args.config:
         cfg = load_config(args.config)
+    else:
+        raise ConfigError("run needs a config file or --preset")
     if cfg.warning:
         print(f"warning: preset {cfg.preset!r}: {cfg.warning}", file=sys.stderr)
     curve = run_scan(cfg, out_dir=args.output)

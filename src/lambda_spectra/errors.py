@@ -28,8 +28,9 @@ class NonPhysicalValue(LambdaSpectraError, ValueError):
 
 
 class NoSignChange(LambdaSpectraError):
-    """The symmetric lineshape amplitude has no positive root in the
-    bracketing interval (e.g. ground-state decoherence too large)."""
+    """The symmetric lineshape amplitude never changes sign: it is nowhere
+    positive, because |omega_d|^2 <= gamma * gamma_bc (ground-state
+    decoherence too large for the drive)."""
 
 
 class ZeroBackground(LambdaSpectraError):

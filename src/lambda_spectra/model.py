@@ -51,9 +51,8 @@ from .doppler import maxwell_mean_inverse, maxwell_mean_slope
 from .errors import DegenerateRates, NonPhysicalValue, SingularSystem
 
 __all__ = ["Rates", "Fields", "Medium", "steady_state", "equation_residual",
-           "susceptibility_numeric", "susceptibility_analytic",
-           "weak_probe_susceptibility", "drive_only_populations",
-           "maxwell_absorption", "population_differences"]
+           "susceptibility_numeric", "weak_probe_susceptibility",
+           "drive_only_populations", "maxwell_absorption"]
 
 
 def _require_magnitudes(obj, names) -> None:
@@ -215,25 +214,6 @@ def steady_state(rates: Rates, fields: Fields,
     return x.reshape(3, 3)
 
 
-def population_differences(rates: Rates, fields: Fields) -> tuple[float, float]:
-    """Strong-drive closed forms for (rho_aa - rho_bb, rho_aa - rho_cc).
-
-    Both values lie in [-1, 0].  Raises DegenerateRates when the shared
-    denominator 2*gamma_bc*Delta^2 + gamma*|omega_d|^2 vanishes.
-    """
-    g, gbc = rates.gamma, rates.gamma_bc
-    dl = fields.big_delta
-    od2 = fields.omega_d**2
-    den = 2.0 * gbc * dl * dl + g * od2
-    if den == 0.0:
-        raise DegenerateRates(
-            "2*gamma_bc*Delta^2 + gamma*|omega_d|^2 = 0: population "
-            "redistribution is undefined")
-    paa_minus_pbb = -(gbc * dl * dl + g * od2) / den
-    paa_minus_pcc = -gbc * (dl * dl + g * g) / den
-    return paa_minus_pbb, paa_minus_pcc
-
-
 def drive_only_populations(rates: Rates, omega_d: float, big_delta):
     """Exact drive-only steady-state population differences.
 
@@ -248,7 +228,7 @@ def drive_only_populations(rates: Rates, omega_d: float, big_delta):
     gamma = 0.  No drive gives (1/2, 1/2) and gamma_bc = 0 gives (1, 0).
     den vanishes exactly where two of R, gamma_r and gamma_bc do, where the
     steady state is not unique; there it raises DegenerateRates.  The
-    strong-drive approximation is `population_differences`.
+    strong-drive approximation is `analytic.population_differences`.
     """
     dl = np.asarray(big_delta, dtype=float)
     g, gr, gbc = rates.gamma, rates.gamma_r, rates.gamma_bc
@@ -293,23 +273,6 @@ def susceptibility_numeric(rates: Rates, fields: Fields, medium: Medium,
     rho = steady_state(rates, fields, drive_phase, probe_phase)
     op = fields.omega_p * cmath.exp(1j * probe_phase)
     return complex(medium.kappa(rates.gamma_r) * rho[0, 1] / op)
-
-
-def susceptibility_analytic(rates: Rates, fields: Fields, medium: Medium) -> complex:
-    """Weak-probe susceptibility with strong-drive populations.
-
-    Evaluates the closed-form linear response using the population
-    differences of `population_differences`.  The relative sign of the two
-    numerator terms is fixed by the weak-probe limit of the steady state
-    (and by the requirement that the narrow feature cancel for equal ground
-    populations); the prefactor makes the two-level limit
-    chi = i kappa (rho_bb - rho_aa) / (gamma + i Delta_p) absorptive.
-    """
-    paa_m_pbb, paa_m_pcc = population_differences(rates, fields)
-    return complex(weak_probe_susceptibility(
-        rates.gamma, rates.gamma_bc, fields.omega_d**2,
-        fields.big_delta, fields.small_delta,
-        -paa_m_pbb, -paa_m_pcc, medium.kappa(rates.gamma_r)))
 
 
 def maxwell_absorption(rates: Rates, od2: float, big_delta: float, ku: float,

@@ -30,8 +30,8 @@ function (pole sets and error bound in its docstring); a call costs one
 wofz call per grid point.  A node scheme (Gauss-Hermite, trapezoid)
 averages the same integrands over velocity nodes instead, as the
 independent cross-check.  At ku = 0 every scheme evaluates them at
-x = Delta.  `scan` sizes grids with the node form of the plateau and
-alpha_d, `_node_alphas` on an empty grid.
+x = Delta.  `scan` sizes grids with the node form of the plateau,
+`_node_alphas` on an empty grid.
 
 Transmission values are I_p(L)/I_p(0), unnormalized; the spectrum carries
 the baseline and the z rule's error estimate, and `normalize` divides by

@@ -330,7 +330,10 @@ def config_text(cfg: ScanConfig) -> str:
 
 def _background_depth(rates: Rates, fields: Fields, medium: Medium) -> float:
     """Doppler-averaged background optical depth of the probe at the entry
-    drive intensity; a cheap estimate used to size grids."""
+    drive intensity, from the Gauss-Hermite 32-node form (`_node_alphas`
+    on an empty grid); it only sets the span of `auto_delta_grid`.  It is
+    not the exact depth: on `vacuum` at Delta = 0 it reads 0.46 against
+    the exact kernel's 8.97 (`maxwell_absorption` on an empty grid)."""
     w, kv = velocity_nodes(QuadratureSpec(node_count=32), medium.ku)
     return _node_alphas(rates, fields.omega_d**2, w, fields.big_delta - kv,
                         _NO_GRID, medium.kappa_L(rates.gamma_r))[1]

@@ -12,7 +12,10 @@ slab march, Richardson-extrapolated over 2048 and 4096 slabs; it takes
 the package's absorption kernel as a callable, so only its z rule is
 independent.  The velocity average is a dense truncated trapezoid sum, the divided difference of two averages an
 mpmath evaluation of the Faddeeva function, and fit refinement a local
-grid search.  The spectrum CSV reader is the `csv` module and `float()`
+grid search.  The strong-drive susceptibility is the weak-probe response
+at the strong-drive populations, typed out from raw floats, and the
+detuning where the thin-cell amplitude A changes sign is a bisection of
+its numerator.  The spectrum CSV reader is the `csv` module and `float()`
 per field.  None of this imports from the package internals beyond
 plain dataclasses.
 """
@@ -70,6 +73,52 @@ def steady_state_nullspace(gamma_r, gamma_deph, gamma_bc, omega_d, omega_p,
     _, _, vh = np.linalg.svd(lio)
     rho = vh[-1].conj().reshape(3, 3)
     return rho / np.trace(rho)
+
+
+def strong_drive_susceptibility(gamma_r, gamma_deph, gamma_bc, omega_d,
+                                big_delta, small_delta, kappa):
+    """Weak-probe susceptibility (units of kappa) at the strong-drive
+    population differences
+
+        rho_bb - rho_aa = (g_bc D^2 + g |od|^2) / (2 g_bc D^2 + g |od|^2)
+        rho_cc - rho_aa = g_bc (D^2 + g^2) / (2 g_bc D^2 + g |od|^2)
+
+    with g = gamma_r + gamma_deph, D = big_delta:
+
+        chi = i kappa (G_cb pb - |od|^2 pc / G_ca) / (G_ab G_cb + |od|^2)
+
+    G_ca = g + i D, G_cb = g_bc - i delta, G_ab = g - i (D + delta)."""
+    g = gamma_r + gamma_deph
+    od2 = omega_d**2
+    d2 = big_delta * big_delta
+    den = 2.0 * gamma_bc * d2 + g * od2
+    pb = (gamma_bc * d2 + g * od2) / den
+    pc = gamma_bc * (d2 + g * g) / den
+    gca = g + 1j * big_delta
+    gcb = gamma_bc - 1j * small_delta
+    gab = g - 1j * (big_delta + small_delta)
+    return complex(1j * kappa * (gcb * pb - (od2 / gca) * pc)
+                   / (gab * gcb + od2))
+
+
+def sign_change_bisection(gamma, gamma_bc, omega_d):
+    """Bisection, on [0, gamma], of the thin-cell amplitude's numerator
+    g |od|^2 (g^2 - D^2) - g_bc (g^2 + D^2)^2 in D, down to an interval of
+    1e-13 gamma; None where it is not positive at D = 0."""
+    def numerator(d):
+        s = gamma * gamma + d * d
+        return gamma * omega_d**2 * (gamma * gamma - d * d) - gamma_bc * s * s
+
+    lo, hi = 0.0, gamma
+    if not numerator(lo) > 0:
+        return None
+    while hi - lo > 1e-13 * gamma:
+        mid = 0.5 * (lo + hi)
+        if numerator(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def doppler_average_trapezoid(chi, big_delta, ku, n=100_000, half_width=6.0):

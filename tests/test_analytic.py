@@ -9,9 +9,10 @@ from lambda_spectra import (DegenerateRates, Fields, LineshapeParams, Medium,
                             NoSignChange, Rates,
                             absorption_profile, ac_stark_shift,
                             density_narrowed_width, lineshape_coefficients,
-                            resonance_width, sign_change_detuning,
-                            susceptibility_analytic)
+                            resonance_width, sign_change_detuning)
 from lambda_spectra.units import khz, mhz
+
+from oracles import sign_change_bisection, strong_drive_susceptibility
 
 MED = Medium(density=2.5e17, length=0.025, wavelength=794.979e-9, ku=mhz(250))
 
@@ -78,7 +79,9 @@ class TestAbsorptionProfile:
             for x in np.linspace(-10, 10, 81):
                 f = Fields(od, 0.0, dl, d0 + x * gt)
                 a15.append(absorption_profile(rates, f, MED))
-                im_chi.append(susceptibility_analytic(rates, f, MED).imag)
+                im_chi.append(strong_drive_susceptibility(
+                    rates.gamma_r, rates.gamma_deph, rates.gamma_bc, od, dl,
+                    f.small_delta, MED.kappa(rates.gamma_r)).imag)
             a15, im_chi = np.asarray(a15), np.asarray(im_chi)
             scale = np.max(np.abs(im_chi))
             tol = 0.05 + 3 * rates.gamma_bc / g_pump
@@ -96,7 +99,9 @@ class TestAbsorptionProfile:
         d0 = ac_stark_shift(dl, od, rates.gamma)
         f = Fields(od, 0.0, dl, d0)
         a15 = absorption_profile(rates, f, MED)
-        chi = susceptibility_analytic(rates, f, MED)
+        chi = strong_drive_susceptibility(
+            rates.gamma_r, rates.gamma_deph, rates.gamma_bc, od, dl, d0,
+            MED.kappa(rates.gamma_r))
         assert 3.0 < a15 / chi.imag < 4.0
 
     def test_degenerate(self):
@@ -217,6 +222,28 @@ class TestSignChange:
         rates = Rates(gamma_r=g, gamma_deph=0.0, gamma_bc=g)
         with pytest.raises(NoSignChange):
             sign_change_detuning(rates, Fields(mhz(2.5), 0.0))
+
+    def test_closed_form_matches_bisection(self):
+        # gamma_bc/gamma from 1e-6 to 1 and |omega_d|/gamma from 1e-2 to
+        # 1e2, log-uniform: the closed-form root agrees with a bisection
+        # of A's numerator to 1e-9 gamma, and NoSignChange is raised
+        # exactly where |omega_d|^2 <= gamma gamma_bc
+        rng = np.random.default_rng(29)
+        found = {True: 0, False: 0}
+        for _ in range(2000):
+            g = 10 ** rng.uniform(6, 9)
+            gbc = g * 10 ** rng.uniform(-6, 0)
+            od = g * 10 ** rng.uniform(-2, 2)
+            rates = Rates(gamma_r=g, gamma_deph=0.0, gamma_bc=gbc)
+            none = od**2 <= g * gbc
+            found[none] += 1
+            if none:
+                with pytest.raises(NoSignChange):
+                    sign_change_detuning(rates, Fields(od, 0.0))
+                continue
+            root, _ = sign_change_detuning(rates, Fields(od, 0.0))
+            assert abs(root - sign_change_bisection(g, gbc, od)) <= 1e-9 * g
+        assert min(found.values()) > 200
 
 
 class TestDensityNarrowing:

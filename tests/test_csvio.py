@@ -206,6 +206,15 @@ def test_wrong_header(tmp_path):
         load_spectrum_csv(p)
 
 
+def test_empty_file(tmp_path, capsys):
+    p = tmp_path / "empty.csv"
+    p.write_text("", encoding="utf-8")
+    with pytest.raises(SchemaMismatch, match="empty file"):
+        load_spectrum_csv(p)
+    assert main(["fit", str(p)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_malformed_row_names_the_row(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text(f"{SPECTRUM_HEADER}\n0,1\n0.5,oops\n1,1\n", encoding="utf-8")
@@ -353,6 +362,15 @@ def test_descriptor_curve_round_trip(tmp_path):
     assert lines[3].split(",")[1] == "nan"
     assert lines[3].split(",")[9] == "false"
 
+
+
+@pytest.mark.parametrize("deltas", [(mhz(100), mhz(0)), (mhz(0), mhz(0))])
+def test_descriptor_curve_refuses_rows_out_of_order(deltas):
+    rows = [DescriptorRow(big_delta=d, params=LineshapeParams(*[math.nan] * 5),
+                          residual_rms=0.0, converged=False, gain_flag=False)
+            for d in deltas]
+    with pytest.raises(ValueError, match="ordered by big_delta"):
+        DescriptorCurve(rows=rows)
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.6, 0.8),

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from lambda_spectra import (DegenerateRates, Fields, Medium, Rates,
                             SingularSystem, equation_residual,
                             population_differences, steady_state,
-                            susceptibility_analytic, susceptibility_numeric)
+                            susceptibility_numeric)
 from lambda_spectra.model import (_liouvillian_rows, drive_only_populations,
                                   weak_probe_susceptibility)
 from lambda_spectra.units import khz, mhz
 
-from oracles import steady_state_nullspace
+from oracles import steady_state_nullspace, strong_drive_susceptibility
 
 MEDIUM = Medium(density=2.5e17, length=0.025, wavelength=794.979e-9, ku=0.0)
 
@@ -165,7 +165,9 @@ class TestSusceptibility:
             f = Fields(base.omega_d, base.omega_p, base.big_delta,
                        d0 + x * gt)
             nums.append(susceptibility_numeric(rates, f, MEDIUM))
-            anas.append(susceptibility_analytic(rates, f, MEDIUM))
+            anas.append(strong_drive_susceptibility(
+                rates.gamma_r, rates.gamma_deph, rates.gamma_bc, f.omega_d,
+                f.big_delta, f.small_delta, MEDIUM.kappa(rates.gamma_r)))
         nums, anas = np.asarray(nums), np.asarray(anas)
         scale = np.max(np.abs(anas))
         assert np.max(np.abs(nums - anas)) / scale < 0.02
@@ -179,24 +181,26 @@ class TestSusceptibility:
             f = Fields(omega_d=mhz(1.0), omega_p=mhz(1.0) * ratio,
                        big_delta=mhz(15), small_delta=mhz(0.002))
             num = susceptibility_numeric(rates, f, MEDIUM)
-            ana = susceptibility_analytic(rates, f, MEDIUM)
+            ana = strong_drive_susceptibility(
+                rates.gamma_r, rates.gamma_deph, rates.gamma_bc, f.omega_d,
+                f.big_delta, f.small_delta, MEDIUM.kappa(rates.gamma_r))
             errs.append(abs(num - ana) / abs(ana))
         assert errs[0] / errs[1] > 3.5
         assert errs[1] / errs[2] > 3.5
 
     def test_symbolic_oracle_values(self):
         # frozen from an exact rational/symbolic evaluation of the
-        # weak-probe form at gamma=1, Delta=10, gamma_bc=1e-4, omega_d=1
-        rates = Rates(gamma_r=0.5, gamma_deph=0.5, gamma_bc=1e-4)
+        # weak-probe form at gamma=1, Delta=10, gamma_bc=1e-4, omega_d=1;
+        # pins the strong-drive oracle the tests above compare against
         medium = Medium(density=8 * np.pi / 3, length=1.0, wavelength=1.0,
                         ku=0.0)  # kappa = gamma_r = 0.5 -> scale by 2
-        f0 = Fields(omega_d=1.0, omega_p=1e-5, big_delta=10.0, small_delta=0.0)
-        chi0 = 2.0 * susceptibility_analytic(rates, f0, medium)
+        kappa = medium.kappa(0.5)
+        chi0 = 2.0 * strong_drive_susceptibility(0.5, 0.5, 1e-4, 1.0, 10.0,
+                                                 0.0, kappa)
         assert chi0.real == pytest.approx(-9.802941275480097e-04, rel=1e-12)
         assert chi0.imag == pytest.approx(9.801951278400980e-11, rel=1e-9)
-        f1 = Fields(omega_d=1.0, omega_p=1e-5, big_delta=10.0,
-                    small_delta=10.0 / 101.0)
-        chi1 = 2.0 * susceptibility_analytic(rates, f1, medium)
+        chi1 = 2.0 * strong_drive_susceptibility(0.5, 0.5, 1e-4, 1.0, 10.0,
+                                                 10.0 / 101.0, kappa)
         assert chi1.real == pytest.approx(1.911481591635762e-03, rel=1e-12)
         assert chi1.imag == pytest.approx(9.703922931049495e-01, rel=1e-12)
 

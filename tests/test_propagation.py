@@ -205,6 +205,12 @@ class TestNormalize:
         assert spec.z_error is None
         assert normalize(spec).z_error is None
 
+    def test_empty_spectrum_is_refused(self):
+        spec = Spectrum(delta_grid=np.zeros(0), transmission=np.zeros(0),
+                        baseline=0.5)
+        with pytest.raises(ValueError, match="empty spectrum"):
+            normalize(spec)
+
 
 class TestEdgeRates:
     """Edge rates of the drive-only populations, reached through transmit

@@ -258,6 +258,20 @@ class TestConfig:
         assert len(parse_config(flat.replace("points = 3", "points = 1"))
                    .sweep_deltas()) == 1
 
+    @pytest.mark.parametrize("edits, error", [
+        pytest.param([("mode = auto", "mode = grid")],
+                     r"\[delta_grid\] mode", id="grid_mode"),
+        pytest.param([("points = 201", "points = 6")],
+                     r"\[delta_grid\] points", id="six_grid_points"),
+        pytest.param([("points = 3", "points = 0")],
+                     r"\[sweep\] points", id="no_sweep_points"),
+        pytest.param([("ku_mhz = 250", "ku_mhz = 250\nku_mhz = 300")],
+                     "ku_mhz", id="duplicate_key"),
+    ])
+    def test_refusals_name_the_key(self, edits, error):
+        with pytest.raises(ConfigError, match=error):
+            parse_config(edited(edits))
+
     @pytest.mark.parametrize("edits, error", RUN_CRASHES)
     def test_configs_that_cannot_run(self, edits, error):
         with pytest.raises(ConfigError, match=error):
@@ -532,6 +546,27 @@ class TestCli:
         cfgfile.write_text(edited(edits), encoding="utf-8")
         assert main(["validate", str(cfgfile)]) == 2
         assert re.search(error, capsys.readouterr().err)
+
+    def test_run_of_a_preset(self, tmp_path, capsys):
+        out = tmp_path / "kr"
+        assert main(["run", "--preset", "kr_0.12torr", "--output",
+                     str(out)]) == 0
+        assert "ballistic" in capsys.readouterr().err
+        assert (out / "descriptors.csv").exists()
+
+    def test_run_needs_a_config_or_preset(self, capsys):
+        assert main(["run"]) == 2
+        assert "config file or --preset" in capsys.readouterr().err
+
+    def test_run_refuses_a_config_with_a_preset(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(CHEAP_CONFIG, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", str(cfgfile), "--preset", "ne_30torr",
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfgfile) in err and "ne_30torr" in err
+        assert not out.exists()
 
     def test_presets_and_hanle(self, capsys):
         assert main(["presets"]) == 0
