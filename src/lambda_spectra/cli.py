@@ -32,7 +32,7 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"run takes a config file or --preset, not both: "
                           f"got {args.config} and --preset {args.preset}")
     if args.preset:
-        cfg = preset_config(args.preset, output_dir=args.output)
+        cfg = preset_config(args.preset)
     elif args.config:
         cfg = load_config(args.config)
     else:

@@ -11,16 +11,17 @@ Unit conversions to/from ordinary MHz happen only at external interfaces
 
 Sign convention.  Coherences are matrix elements rho_ij = <i|rho|j> in the
 frame co-rotating with the fields, where the Hamiltonian over (|a>, |b>, |c>)
-is, with Delta = big_delta, delta = small_delta and phi_p, phi_d the probe
-and drive phases,
+is, with Delta = big_delta and delta = small_delta,
 
-        [ -(Delta + delta)        -omega_p e^{i phi_p}   -omega_d e^{i phi_d} ]
-    H = [ -omega_p e^{-i phi_p}    0                      0                   ]
-        [ -omega_d e^{-i phi_d}    0                      -delta              ]
+        [ -(Delta + delta)   -omega_p   -omega_d ]
+    H = [ -omega_p            0          0       ]
+        [ -omega_d            0         -delta   ]
 
-and drho/dt = -i[H, rho] plus relaxation: rho_aa decays at 2 gamma_r and
-feeds rho_bb and rho_cc at gamma_r each, rho_bb and rho_cc exchange at
-gamma_bc, the optical coherences decay at gamma and the ground coherence at
+(real: a constant field phase is removed by rephasing |b> and |c>, so no
+observable depends on it and it is not a parameter), and
+drho/dt = -i[H, rho] plus relaxation: rho_aa decays at 2 gamma_r and feeds
+rho_bb and rho_cc at gamma_r each, rho_bb and rho_cc exchange at gamma_bc,
+the optical coherences decay at gamma and the ground coherence at
 gamma_bc.  The coherences therefore evolve as
 
     drho_ab/dt = -(gamma   - i(big_delta + small_delta)) rho_ab  + couplings
@@ -41,7 +42,6 @@ closed form; it is the absorption kernel of `propagation`'s z rule.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -140,15 +140,12 @@ def _scale(rates: Rates, fields: Fields) -> float:
     )
 
 
-def _liouvillian_rows(rates: Rates, fields: Fields,
-                      drive_phase: float, probe_phase: float) -> np.ndarray:
+def _liouvillian_rows(rates: Rates, fields: Fields) -> np.ndarray:
     """-i[H, rho] plus relaxation (module docstring) as a (9, 9) complex
     operator on the row-major flattened rho, rho_ij at index 3 i + j."""
     d2 = fields.small_delta
-    h = np.diag([-(fields.big_delta + d2), 0.0, -d2]).astype(complex)
-    h[0, 1] = -fields.omega_p * cmath.exp(1j * probe_phase)
-    h[0, 2] = -fields.omega_d * cmath.exp(1j * drive_phase)
-    h[1:, 0] = h[0, 1:].conj()
+    h = np.diag([-(fields.big_delta + d2), 0.0, -d2])
+    h[0, 1:] = h[1:, 0] = -fields.omega_p, -fields.omega_d
     # d rho_ij/dt = -i (H_ik rho_kj - rho_il H_lj) at L[3 i + j, 3 k + l]
     eye = np.eye(3)
     L = -1j * (np.einsum("ik,jl->ijkl", h, eye)
@@ -163,11 +160,10 @@ def _liouvillian_rows(rates: Rates, fields: Fields,
     return L
 
 
-def equation_residual(rho: np.ndarray, rates: Rates, fields: Fields,
-                      drive_phase: float = 0.0, probe_phase: float = 0.0) -> float:
+def equation_residual(rho: np.ndarray, rates: Rates, fields: Fields) -> float:
     """Max |d rho_ij/dt| at the candidate 3x3 steady state, over all nine
     equations, relative to the largest rate in the system."""
-    L = _liouvillian_rows(rates, fields, drive_phase, probe_phase)
+    L = _liouvillian_rows(rates, fields)
     r = L @ rho.reshape(9)
     return float(np.max(np.abs(r)) / _scale(rates, fields))
 
@@ -175,8 +171,7 @@ def equation_residual(rho: np.ndarray, rates: Rates, fields: Fields,
 _COND_MAX = 1e12  # largest row-equilibrated condition steady_state accepts
 
 
-def steady_state(rates: Rates, fields: Fields,
-                 drive_phase: float = 0.0, probe_phase: float = 0.0) -> np.ndarray:
+def steady_state(rates: Rates, fields: Fields) -> np.ndarray:
     """Solve the full steady-state linear system of the closed lambda scheme
     for the 3x3 complex density matrix rho[i, j] over (|a>, |b>, |c>).
 
@@ -198,7 +193,7 @@ def steady_state(rates: Rates, fields: Fields,
     omega_d = 2pi 1 kHz, Delta = 2pi 2 GHz (cond 6.3e12).
     """
     s = _scale(rates, fields)
-    L = _liouvillian_rows(rates, fields, drive_phase, probe_phase) / s
+    L = _liouvillian_rows(rates, fields) / s
     A = np.vstack((np.eye(3).reshape(1, 9), L[1:]))  # trace row for rho_aa's
 
     norms = np.linalg.norm(A, axis=1)
@@ -260,8 +255,8 @@ def weak_probe_susceptibility(gamma: float, gamma_bc: float, od2,
     return 1j * kappa * num / den
 
 
-def susceptibility_numeric(rates: Rates, fields: Fields, medium: Medium,
-                           drive_phase: float = 0.0, probe_phase: float = 0.0) -> complex:
+def susceptibility_numeric(rates: Rates, fields: Fields,
+                           medium: Medium) -> complex:
     """Probe susceptibility from the exact steady state.
 
     chi = kappa * rho_ab / omega_p, normalized so that it coincides with
@@ -270,9 +265,8 @@ def susceptibility_numeric(rates: Rates, fields: Fields, medium: Medium,
     """
     if fields.omega_p <= 0:
         raise ValueError("susceptibility_numeric requires omega_p > 0")
-    rho = steady_state(rates, fields, drive_phase, probe_phase)
-    op = fields.omega_p * cmath.exp(1j * probe_phase)
-    return complex(medium.kappa(rates.gamma_r) * rho[0, 1] / op)
+    rho = steady_state(rates, fields)
+    return complex(medium.kappa(rates.gamma_r) * rho[0, 1] / fields.omega_p)
 
 
 def maxwell_absorption(rates: Rates, od2: float, big_delta: float, ku: float,

@@ -15,8 +15,9 @@ Doppler-averaged: the two-level coefficient of the drive, fed by the same
 lambda steady state as the probe (a closure choice that reduces to the
 plain two-level result).  `transmit` solves it once per point with an
 adaptive Runge-Kutta method (DOP853 with dense output) and then evaluates
-tau by Gauss-Legendre quadrature in s.  Local Rabi magnitudes scale as the
-square root of the local intensities.
+tau by Gauss-Legendre quadrature in s; only where the drive cannot change
+(kappa = 0 or omega_d = 0) does one kernel call give tau.  Local Rabi
+magnitudes scale as the square root of the local intensities.
 
 Beside the probe, the same rule integrates the coherence-free baseline:
 the |delta| -> infinity plateau of the absorption profile, which keeps the
@@ -172,8 +173,7 @@ def _drive_od2(alphas, od2_entry: float):
 
 
 def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
-                    quad: QuadratureSpec, cap: int, delta_grid: np.ndarray,
-                    attenuate_drive: bool):
+                    quad: QuadratureSpec, cap: int, delta_grid: np.ndarray):
     """(tau on delta_grid, baseline tau, gain flags, z_error) of the z rule
     that `transmit` describes; every coefficient is per unit s, so the cell
     enters only through kappa L."""
@@ -193,7 +193,7 @@ def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
         return alpha < -_GAIN_TOL * kappa_l
 
     od2_entry = fields.omega_d ** 2
-    if not (attenuate_drive and kappa_l > 0.0 and od2_entry > 0.0):
+    if kappa_l == 0.0 or od2_entry == 0.0:
         tau, tau_b, _ = alphas(od2_entry, delta_grid)  # z-independent
         return tau, tau_b, gain(tau), 0.0
 
@@ -220,8 +220,7 @@ def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
 def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
              quad: Optional[QuadratureSpec] = None,
              slabs: Optional[SlabConfig] = None,
-             delta_grid=None,
-             attenuate_drive: bool = True) -> Spectrum:
+             delta_grid=None) -> Spectrum:
     """Unnormalized probe transmission I_p(L)/I_p(0) on a two-photon grid.
 
     T = exp(-tau), with tau(delta) = sum_k w_k L alpha(I_d(s_k), delta)
@@ -234,8 +233,8 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
     by at most 1e-8 against the previous order is accepted, and at the
     cap the cap's result is returned.  That last difference is the
     spectrum's `z_error`, in optical depth.  Where the drive cannot change
-    (attenuate_drive=False, kappa = 0 or omega_d = 0) alpha does not
-    depend on z: one kernel call gives tau = L alpha, and z_error is 0.
+    (kappa = 0 or omega_d = 0) alpha does not depend on z: one kernel call
+    gives tau = L alpha, and z_error is 0.
 
     fields_at_entry.small_delta is ignored; the grid supplies the
     two-photon detuning.  The returned spectrum carries the coherence-free
@@ -256,22 +255,18 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
     delta_grid = np.asarray(delta_grid, dtype=float)
 
     tau, tau_b, gain, z_error = _optical_depths(
-        rates, fields_at_entry, medium, quad, slabs.slab_count, delta_grid,
-        attenuate_drive)
+        rates, fields_at_entry, medium, quad, slabs.slab_count, delta_grid)
     return Spectrum(delta_grid=delta_grid, transmission=np.exp(-tau),
                     baseline=float(np.exp(-tau_b)), gain_flag=gain,
                     z_error=float(z_error))
 
 
-def reference_transmission(rates: Rates, fields: Fields, medium: Medium,
-                           quad: Optional[QuadratureSpec] = None,
-                           slabs: Optional[SlabConfig] = None,
-                           attenuate_drive: bool = True) -> float:
+def reference_transmission(rates: Rates, fields: Fields,
+                           medium: Medium) -> float:
     """Coherence-free baseline transmission: the |delta| -> infinity plateau
-    of the absorption profile through the same cell (the baseline
-    `transmit` returns for an empty grid)."""
-    return transmit(rates, fields, medium, quad, slabs, _NO_GRID,
-                    attenuate_drive).baseline
+    of the absorption profile through the same cell, as the pipeline
+    integrates it (the baseline `transmit` returns for an empty grid)."""
+    return transmit(rates, fields, medium, delta_grid=_NO_GRID).baseline
 
 
 def normalize(spectrum: Spectrum) -> Spectrum:

@@ -291,17 +291,14 @@ def preset_names():
     return tuple(sorted(_PRESETS))
 
 
-def preset_config(name: str, output_dir: str | None = None) -> ScanConfig:
+def preset_config(name: str) -> ScanConfig:
     if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: "
                           f"{', '.join(preset_names())}")
     values = {k: default for k, (_, default) in _SCHEMA.items()}
     values.update(_COMMON)
     values.update(_PRESETS[name])
-    if output_dir is not None:
-        values[("output", "directory")] = output_dir
-    else:
-        values[("output", "directory")] = f"scan_{name}"
+    values[("output", "directory")] = f"scan_{name}"
     _validate(values, f"preset:{name}")
     return ScanConfig(values=values, preset=name,
                       warning=_PRESET_WARNINGS.get(name, ""))

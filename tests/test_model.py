@@ -108,7 +108,8 @@ class TestSteadyState:
         rng = np.random.default_rng(13)
         for _ in range(200):
             rates, f = random_params(rng)
-            L = _liouvillian_rows(rates, f, *rng.uniform(-np.pi, np.pi, 2))
+            rng.uniform(-np.pi, np.pi, 2)  # keeps the seeded stream
+            L = _liouvillian_rows(rates, f)
             scale = np.max(np.abs(L))
             assert np.max(np.abs(np.eye(3).reshape(9) @ L)) <= 1e-15 * scale
             m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -220,7 +221,7 @@ class TestSusceptibility:
             rates, f = random_params(rng)
             if rates.gamma_bc == 0.0:
                 continue
-            phases = rng.uniform(-np.pi, np.pi, 2)
+            rng.uniform(-np.pi, np.pi, 2)  # keeps the seeded stream
             pb, pc = drive_only_populations(rates, f.omega_d, f.big_delta)
             want = weak_probe_susceptibility(
                 rates.gamma, rates.gamma_bc, f.omega_d**2, f.big_delta,
@@ -229,21 +230,11 @@ class TestSusceptibility:
             for r, found in errs.items():
                 weak = Fields(f.omega_d, r * f.omega_d, f.big_delta,
                               f.small_delta)
-                chi = susceptibility_numeric(rates, weak, MEDIUM, *phases)
+                chi = susceptibility_numeric(rates, weak, MEDIUM)
                 found.append(abs(chi - want) / abs(want))
                 assert found[-1] < r * r * (1.0 + saturation)
         fall = np.median(np.divide(errs[1e-4], errs[5e-5]))
         assert fall == pytest.approx(4.0, rel=0.05)
-
-    def test_phase_rotation_invariance(self):
-        rates = Rates(gamma_r=mhz(3), gamma_deph=mhz(10), gamma_bc=khz(2))
-        f = Fields(omega_d=mhz(2.0), omega_p=mhz(0.4), big_delta=mhz(30),
-                   small_delta=khz(40))
-        ref = susceptibility_numeric(rates, f, MEDIUM)
-        for theta in (0.3, 1.9, -2.4):
-            rot = susceptibility_numeric(rates, f, MEDIUM,
-                                         drive_phase=theta, probe_phase=theta)
-            assert rot == pytest.approx(ref, rel=1e-12)
 
 
 class TestPopulationDifferences:

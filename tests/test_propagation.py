@@ -45,24 +45,34 @@ class TestTransmit:
 
     @pytest.mark.parametrize("scheme", ["gauss_hermite", "trapezoid", "exact"])
     def test_beer_lambert_closed_form(self, scheme):
-        # no Doppler, drive attenuation off: alpha is z-independent and the
-        # z rule must reproduce exp(-alpha L) to machine accuracy; at
-        # ku = 0 every scheme evaluates the integrand at x = Delta
+        # no Doppler: every scheme evaluates the integrand at x = Delta, so
+        # with the drive depleting the z rule must match the slab-march
+        # oracle fed the x = Delta coefficients typed here.  Measured:
+        # 1.9e-13 in T and 1.8e-14 relative in the baseline; a z-independent
+        # alpha at the entry drive misses T by 7.5e-2
         med = Medium(density=2.5e17, length=0.025, wavelength=794.979e-9,
                      ku=0.0)
         rates, f = rates30(), fields30(mhz(300))
         grid = ac_stark_shift(f.big_delta, f.omega_d, rates.gamma) + \
             np.linspace(-khz(20), khz(20), 21)
         spec = transmit(rates, f, med, QuadratureSpec(scheme), SlabConfig(64),
-                        grid, attenuate_drive=False)
-        pb, pc = drive_only_populations(rates, f.omega_d,
-                                        np.array([f.big_delta]))
-        alpha = weak_probe_susceptibility(
-            rates.gamma, rates.gamma_bc, f.omega_d**2, f.big_delta, grid,
-            pb[0], pc[0], med.kappa(rates.gamma_r)).imag
-        want = np.exp(-alpha * med.length)
-        assert np.max(np.abs(spec.transmission - want)) < 1e-8
-        assert spec.z_error == 0.0
+                        grid)
+        g, kappa_l = rates.gamma, med.kappa_L(rates.gamma_r)
+
+        def alphas(od2, deltas):
+            # (probe alpha on deltas, plateau, alpha_d) per unit s = z/L
+            pb, pc = drive_only_populations(rates, math.sqrt(od2),
+                                            f.big_delta)
+            q = g * g + f.big_delta ** 2
+            alpha = weak_probe_susceptibility(
+                g, rates.gamma_bc, od2, f.big_delta, deltas, pb, pc,
+                kappa_l).imag
+            return (alpha, kappa_l * g * (pb + od2 / q * pc) / q,
+                    kappa_l * g * pc / q)
+
+        tau, tau_b = slab_march_richardson(alphas, f.omega_d**2, grid)
+        assert np.max(np.abs(spec.transmission - np.exp(-tau))) < 1e-8
+        assert spec.baseline == pytest.approx(np.exp(-tau_b), rel=1e-8)
 
     def test_thin_medium_expansion(self):
         # kappa L / gamma ~ 0.01: 1 - T agrees with the strong-drive
@@ -81,17 +91,16 @@ class TestTransmit:
             assert abs((1.0 - t) - al) < 1e-4
 
     def test_matches_doppler_average_route(self):
-        # optically thin cell without drive depletion against the public
-        # velocity-average
-        # of the weak-probe susceptibility (independent path through the
-        # same physics)
+        # optically thin cell against the public velocity-average of the
+        # weak-probe susceptibility at the entry drive (independent path
+        # through the same physics; drive depletion moves T by 1.9e-12
+        # relative here)
         med = Medium(density=2.5e13, length=0.001, wavelength=794.979e-9,
                      ku=mhz(250))
         rates, f = rates30(), fields30(mhz(900))
         d0 = ac_stark_shift(f.big_delta, f.omega_d, rates.gamma)
         grid = d0 + np.linspace(-khz(10), khz(10), 11)
-        spec = transmit(rates, f, med, QuadratureSpec(), SlabConfig(16), grid,
-                        attenuate_drive=False)
+        spec = transmit(rates, f, med, QuadratureSpec(), SlabConfig(16), grid)
 
         kappa = med.kappa(rates.gamma_r)
 
@@ -513,14 +522,10 @@ def test_reference_is_plateau_level():
     assert ref30 == pytest.approx(far30, rel=5e-3)
 
 
-@pytest.mark.parametrize("attenuate_drive", [True, False])
-def test_baseline_is_reference_transmission(attenuate_drive):
+def test_baseline_is_reference_transmission():
     rates, f = rates30(), fields30(mhz(900))
-    quad, slabs = QuadratureSpec(), SlabConfig(32)
-    spec = transmit(rates, f, MED30, quad, slabs,
-                    np.linspace(-mhz(1), mhz(1), 21), attenuate_drive)
-    assert spec.baseline == reference_transmission(rates, f, MED30, quad,
-                                                   slabs, attenuate_drive)
+    spec = transmit(rates, f, MED30, delta_grid=np.linspace(-mhz(1), mhz(1), 21))
+    assert spec.baseline == reference_transmission(rates, f, MED30)
 
 
 def test_slab_config_validation():

@@ -554,6 +554,23 @@ class TestCli:
         assert "ballistic" in capsys.readouterr().err
         assert (out / "descriptors.csv").exists()
 
+    def test_preset_digest_ignores_how_output_is_spelled(self, tmp_path,
+                                                         monkeypatch, capsys):
+        # the digest covers the config, not --output: the same preset into
+        # the same directory, spelled three ways, rewrites its files, and
+        # they match those of the run into the preset's own scan_<name>
+        monkeypatch.chdir(tmp_path)
+
+        def contents(name):
+            return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+        assert main(["run", "--preset", "ne_30torr"]) == 0
+        own = contents("scan_ne_30torr")
+        for spelling in ("D", "./D", "D/"):
+            assert main(["run", "--preset", "ne_30torr", "--output",
+                         spelling]) == 0, capsys.readouterr().err
+            assert contents("D") == own
+
     def test_run_needs_a_config_or_preset(self, capsys):
         assert main(["run"]) == 2
         assert "config file or --preset" in capsys.readouterr().err
