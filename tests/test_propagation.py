@@ -522,8 +522,13 @@ def test_reference_is_plateau_level():
     assert ref30 == pytest.approx(far30, rel=5e-3)
 
 
-def test_baseline_is_reference_transmission():
-    rates, f = rates30(), fields30(mhz(900))
+@pytest.mark.parametrize("drive_on", [False, True])
+def test_baseline_is_reference_transmission(drive_on):
+    # drive off takes the z-independent one-call path, drive on the
+    # depleting z rule; both must hand back the same baseline
+    rates = rates30()
+    f = fields30(mhz(900)) if drive_on else \
+        Fields(omega_d=0.0, omega_p=0.0, big_delta=mhz(900))
     spec = transmit(rates, f, MED30, delta_grid=np.linspace(-mhz(1), mhz(1), 21))
     assert spec.baseline == reference_transmission(rates, f, MED30)
 
