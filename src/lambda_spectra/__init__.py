@@ -22,8 +22,8 @@ from .errors import (ConfigError, DegenerateRates, DegenerateSpectrum,
                      ParseError, SchemaMismatch, SingularSystem,
                      ZeroBackground)
 from .fitting import FitResult, fit_lineshape, initial_guess
-from .hanle import (TransitionSigns, ZeemanState, brightness, dark_state,
-                    overlap, zeeman_detuning)
+from .hanle import (ZeemanState, brightness, dark_state, overlap,
+                    zeeman_detuning)
 from .model import (Fields, Medium, Rates, drive_only_populations,
                     equation_residual, steady_state, susceptibility_numeric,
                     weak_probe_susceptibility)

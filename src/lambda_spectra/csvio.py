@@ -80,15 +80,14 @@ def load_spectrum_csv(path) -> Spectrum:
     """Read a spectrum CSV (schema above) into internal units.
 
     The body goes through one `np.loadtxt` pass when loadtxt parses it
-    and the result has at least 2 rows, exactly 2 columns, finite values
-    and a grid that is finite and strictly increasing once in rad/s:
-    every file `export_csv` writes does.  Any other body goes through
-    `_parse_rows`, which loads the files only Python's `float()` accepts
-    (`1_000`, non-ASCII digits, whitespace-only lines) and raises the
-    ParseError that names the file line at fault.  Both see the lines
-    `str.splitlines` gives, and where loadtxt parses a field it gives the
-    same float as `float()`, so both paths load the same arrays.  Raises
-    ParseError for text that is not UTF-8.
+    into at least 2 rows of exactly 2 columns that `Spectrum` accepts once
+    the grid is in rad/s: every file `export_csv` writes does.  Any other
+    body goes through `_parse_rows`, which loads the files only Python's
+    `float()` accepts (`1_000`, non-ASCII digits, whitespace-only lines)
+    and raises the ParseError that names the file line at fault.  Both
+    see the lines `str.splitlines` gives, and where loadtxt parses a field
+    it gives the same float as `float()`, so both paths load the same
+    arrays.  Raises ParseError for text that is not UTF-8.
     """
     path = Path(path)
     try:
@@ -101,10 +100,8 @@ def load_spectrum_csv(path) -> Spectrum:
     if lines[0].strip() != SPECTRUM_HEADER:
         raise SchemaMismatch(
             f"{path}: expected header {SPECTRUM_HEADER!r}, got {lines[0]!r}")
-    columns = _array_body(lines[1:])
-    if columns is None:
-        columns = _parse_rows(path, lines)
-    return Spectrum(delta_grid=columns[0], transmission=columns[1])
+    spectrum = _array_body(lines[1:])
+    return spectrum if spectrum is not None else _parse_rows(path, lines)
 
 
 def _to_rad_s(grid_mhz):
@@ -121,29 +118,26 @@ def _increasing(grid) -> bool:
 
 
 def _array_body(body):
-    """The (delta, transmission) rows of `body` from one `np.loadtxt`
-    pass, as contiguous columns of a (2, n) array with the grid in rad/s
-    like `_parse_rows` returns, or None where loadtxt refuses them or
-    they break a rule of the schema."""
+    """The spectrum of `body` from one `np.loadtxt` pass, as `_parse_rows`
+    returns it, or None where loadtxt refuses the rows, they are not 2
+    columns of at least 2 rows, or `Spectrum` refuses them."""
     if not any(body):  # only empty lines: loadtxt would warn, not raise
         return None
     try:
         rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if rows.shape[0] < 2 or rows.shape[1] != 2:
+            return None
+        columns = rows.T.copy()
+        columns[0] = _to_rad_s(columns[0])
+        return Spectrum(delta_grid=columns[0], transmission=columns[1])
     except ValueError:
         return None
-    if rows.shape[0] < 2 or rows.shape[1] != 2:
-        return None
-    columns = rows.T.copy()
-    columns[0] = _to_rad_s(columns[0])
-    if not (_increasing(columns[0]) and np.isfinite(columns[1]).all()):
-        return None
-    return columns
 
 
 def _parse_rows(path, lines):
     """Parse the body after header `lines[0]` row by row with `float()`
-    into a (2, n) array, the grid in rad/s.  A ParseError names the file
-    line at fault."""
+    into a spectrum, the grid in rad/s.  A ParseError names the file line
+    at fault."""
     grid, trans, line_nos = [], [], []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -172,7 +166,7 @@ def _parse_rows(path, lines):
         where = "" if grid[k] <= grid[k - 1] else " once in rad/s"
         raise ParseError(f"{path}: row {line_nos[k]}: "
                          f"delta grid is not strictly increasing{where}")
-    return np.array([rad, trans])
+    return Spectrum(delta_grid=rad, transmission=trans)
 
 
 def _check_grid_loads(grid_mhz) -> None:

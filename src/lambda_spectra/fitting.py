@@ -88,7 +88,7 @@ def initial_guess(spectrum: Spectrum) -> LineshapeParams:
     ilo = i0
     while ilo > 0 and r[ilo] > half:
         ilo -= 1
-    spacing = float(np.min(np.diff(d))) if n > 1 else 1.0
+    spacing = float(np.min(np.diff(d)))
     gt = max(0.5 * float(d[ihi] - d[ilo]), spacing)
 
     a = float(t[i0] - c)

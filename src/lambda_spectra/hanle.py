@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from scipy.constants import hbar, physical_constants
 
-__all__ = ["ZeemanState", "TransitionSigns", "TRANSITION_SIGNS",
-           "dark_state", "overlap", "brightness", "zeeman_detuning"]
+__all__ = ["ZeemanState", "dark_state", "overlap", "brightness",
+           "zeeman_detuning"]
 
 _MU_B = physical_constants["Bohr magneton"][0]
 
@@ -36,42 +36,26 @@ class ZeemanState:
             raise ValueError(f"state norm deviates from 1 by {abs(norm-1.0):.2e}")
 
 
-@dataclass(frozen=True)
-class TransitionSigns:
-    """Relative signs of the sigma+/sigma- matrix elements of a transition."""
-
-    plus: int
-    minus: int
-
-    def __post_init__(self):
-        if self.plus not in (1, -1) or self.minus not in (1, -1):
-            raise ValueError("sign entries must be +1 or -1")
+# The sigma+/sigma- components reach the excited m'=0 sublevel with
+# opposite relative sign on F=2 -> F'=1 and equal sign on F=2 -> F'=2; this
+# one sign per transition is what makes the two dark states orthogonal.
+_RELATIVE_SIGN = {"two_to_one": -1, "two_to_two": 1}
+TRANSITIONS = tuple(_RELATIVE_SIGN)
 
 
-# The two circular components reach the excited m'=0 sublevel with opposite
-# relative signs on F=2 -> F'=1 and equal signs on F=2 -> F'=2; this is what
-# makes the corresponding dark states orthogonal.
-TRANSITION_SIGNS = {
-    "two_to_one": TransitionSigns(plus=1, minus=-1),
-    "two_to_two": TransitionSigns(plus=1, minus=1),
-}
-TRANSITIONS = tuple(TRANSITION_SIGNS)
-
-
-def _signs(transition: str) -> TransitionSigns:
-    if transition not in TRANSITION_SIGNS:
+def _sign(transition: str) -> int:
+    if transition not in _RELATIVE_SIGN:
         raise ValueError(f"unknown transition {transition!r}; "
                          f"expected one of {TRANSITIONS}")
-    return TRANSITION_SIGNS[transition]
+    return _RELATIVE_SIGN[transition]
 
 
 def dark_state(transition: str) -> ZeemanState:
     """The ground superposition decoupled from the given transition,
-    plus c_+ + minus c_- = 0: (|+1> + |-1>)/sqrt(2) for F=2->F'=1,
-    (|+1> - |-1>)/sqrt(2) for F=2->F'=2."""
-    signs = _signs(transition)
+    (1, -sigma)/sqrt(2) for its relative sign sigma: (|+1> + |-1>)/sqrt(2)
+    for F=2->F'=1, (|+1> - |-1>)/sqrt(2) for F=2->F'=2."""
     r = 1.0 / math.sqrt(2.0)
-    return ZeemanState(c_plus=r, c_minus=-signs.plus * signs.minus * r)
+    return ZeemanState(c_plus=r, c_minus=-_sign(transition) * r)
 
 
 def overlap(s1: ZeemanState, s2: ZeemanState) -> complex:
@@ -83,11 +67,10 @@ def overlap(s1: ZeemanState, s2: ZeemanState) -> complex:
 def brightness(state: ZeemanState, transition: str) -> float:
     """Coupling magnitude of a state to a transition, in [0, 1].
 
-    |sum_m sign_m c_m| / sqrt(2): zero for the transition's dark state, one
-    for the maximally bright (orthogonal) state.
+    |c_+ + sigma c_-| / sqrt(2) for the transition's relative sign sigma:
+    zero for its dark state, one for the maximally bright (orthogonal) state.
     """
-    signs = _signs(transition)
-    amp = signs.plus * state.c_plus + signs.minus * state.c_minus
+    amp = state.c_plus + _sign(transition) * state.c_minus
     return float(abs(amp) / math.sqrt(2.0))
 
 

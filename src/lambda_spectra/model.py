@@ -308,8 +308,11 @@ def maxwell_absorption(rates: Rates, od2: float, big_delta: float, ku: float,
     the two-level scale.  A 1e5-node trapezoid agrees to 1e-12 relative
     on ne_30torr and vacuum at Delta = 0 to 1 GHz, pole coincidence
     included; the tests hold it to 1e-9.  Scales tens of decades apart
-    break that: of 457 seeded configs with ku < 1e-8 gamma, 95 miss the
-    ku = 0 form by more than 1e-10 of its peak.
+    break that: of 525 seeded configs with 0 < ku < 1e-8 gamma, 63 miss
+    the ku = 0 form by more than 1e-10 of its peak.  The z rule of
+    `propagation` therefore calls it only for ku > 1e-8 gamma and takes a
+    smaller ku as none; far larger drives (omega_d >> gamma) can still
+    cost accuracy.
 
     No drive is the general set's own limit: od2 = 0 makes s = gamma and
     R = 0, which leaves populations (1/2, 1/2) and the single Gamma_ab pole

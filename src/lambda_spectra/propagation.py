@@ -30,9 +30,11 @@ and `model.maxwell_absorption` sums their residues times the Faddeeva
 function (pole sets and error bound in its docstring); a call costs one
 wofz call per grid point.  A node scheme (Gauss-Hermite, trapezoid)
 averages the same integrands over velocity nodes instead, as the
-independent cross-check.  At ku = 0 every scheme evaluates them at
-x = Delta.  `scan` sizes grids with the node form of the plateau,
-`_node_alphas` on an empty grid.
+independent cross-check.  At ku <= 1e-8 gamma every scheme evaluates
+them at x = Delta: every pole lies at least gamma off the real axis, so
+that is the Maxwell average to about (ku/gamma)^2 <= 1e-16, which the
+partial fractions can miss there.  `scan` sizes grids with the node form
+of the plateau, `_node_alphas` on an empty grid.
 
 Transmission values are I_p(L)/I_p(0), unnormalized; the spectrum carries
 the baseline and the z rule's error estimate, and `normalize` divides by
@@ -59,6 +61,7 @@ __all__ = ["SlabConfig", "Spectrum", "transmit", "normalize",
 _GAIN_TOL = 1e-6  # of kappa
 _Z_TOL = 1e-8  # optical depth: max |tau_n - tau_previous| that accepts GL-n
 _DRIVE_RTOL, _DRIVE_ATOL = 1e-10, 1e-13  # of ln(I_d/I_d(0)), DOP853
+_KU_NONE = 1e-8  # of gamma: a Doppler width at or below it is none
 _EXACT = QuadratureSpec("exact")
 _NO_GRID = np.zeros(0)
 
@@ -117,10 +120,9 @@ class Spectrum:
 def _node_alphas(rates: Rates, od2: float, w, deff, delta_grid, kappa):
     """(probe alpha on delta_grid, plateau, alpha_d) averaged over the
     velocity nodes (w, deff = Delta - kv) at the drive od2 = |omega_d|^2,
-    each proportional to kappa, as in `maxwell_absorption`, which also
-    skips the probe term on an empty grid.  kappa = 0 absorbs nothing; at
-    gamma = 0, which it implies, the nodes' Lorentzians would be 0/0 at
-    deff = 0."""
+    each proportional to kappa, as in `maxwell_absorption`.  kappa = 0
+    absorbs nothing; at gamma = 0, which it implies, the nodes' Lorentzians
+    would be 0/0 at deff = 0."""
     if kappa == 0.0:
         return np.zeros(delta_grid.shape), 0.0, 0.0
     g = rates.gamma
@@ -128,8 +130,6 @@ def _node_alphas(rates: Rates, od2: float, w, deff, delta_grid, kappa):
     g2d2 = g * g + deff * deff
     plateau = kappa * float(np.dot(w, (g * pb + g * od2 / g2d2 * pc) / g2d2))
     drive = kappa * g * float(np.dot(w, pc / g2d2))
-    if not delta_grid.size:
-        return np.zeros(0), plateau, drive
     chi = weak_probe_susceptibility(
         g, rates.gamma_bc, od2, deff[:, None], delta_grid[None, :],
         pb[:, None], pc[:, None], kappa)
@@ -178,12 +178,13 @@ def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
     that `transmit` describes; every coefficient is per unit s, so the cell
     enters only through kappa L."""
     kappa_l = medium.kappa_L(rates.gamma_r)
-    if quad.scheme == "exact" and medium.ku > 0.0:
+    ku = medium.ku if medium.ku > _KU_NONE * rates.gamma else 0.0
+    if quad.scheme == "exact" and ku > 0.0:
         def alphas(od2, grid):
-            return maxwell_absorption(rates, od2, fields.big_delta,
-                                      medium.ku, grid, kappa_l)
+            return maxwell_absorption(rates, od2, fields.big_delta, ku,
+                                      grid, kappa_l)
     else:
-        w, kv = velocity_nodes(quad, medium.ku)
+        w, kv = velocity_nodes(quad, ku)
         deff = fields.big_delta - kv
 
         def alphas(od2, grid):

@@ -354,12 +354,9 @@ def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
     d0 = ac_stark_shift(dl, od, g)
     w_nat = gbc + g * od2 / (g * g + dl * dl)
 
-    if ku > 0:
-        shifts = np.linspace(-2 * ku, 2 * ku, 41)
-        d0_all = od2 * (dl - shifts) / (g * g + (dl - shifts) ** 2)
-        spread = float(np.max(np.abs(d0_all - d0)))
-    else:
-        spread = 0.0
+    shifts = np.linspace(-2 * ku, 2 * ku, 41)
+    d0_all = od2 * (dl - shifts) / (g * g + (dl - shifts) ** 2)
+    spread = float(np.max(np.abs(d0_all - d0)))
 
     od_bg = _background_depth(rates, fields, medium)
     kl = medium.kappa_L(rates.gamma_r)
@@ -373,10 +370,8 @@ def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
         w_fit = min(w_nat, density_narrowed_width(medium, rates, fields))
     w_fit = max(w_fit, w_nat / 50.0, 1e-12)
 
-    points = base_points
-    if span > 0:
-        needed = int(math.ceil(12.0 * span / w_fit)) + 1
-        points = int(np.clip(needed, base_points, _MAX_GRID_POINTS))
+    needed = int(math.ceil(12.0 * span / w_fit)) + 1
+    points = int(np.clip(needed, base_points, _MAX_GRID_POINTS))
     if points % 2 == 0:
         points += 1
     return d0 + np.linspace(-span, span, points)

@@ -8,7 +8,7 @@ import pytest
 
 from lambda_spectra import (ZeemanState, brightness, dark_state, overlap,
                             zeeman_detuning)
-from lambda_spectra.hanle import TRANSITIONS, TransitionSigns
+from lambda_spectra.hanle import TRANSITIONS
 
 
 def random_state(rng):
@@ -68,12 +68,6 @@ def test_global_phase_invariance():
         for t in TRANSITIONS:
             assert brightness(rot, t) == pytest.approx(brightness(s, t),
                                                        abs=1e-14)
-
-
-def test_custom_sign_pattern():
-    # the sign table's entries are checked to be +1 or -1
-    with pytest.raises(ValueError):
-        TransitionSigns(plus=2, minus=1)
 
 
 def test_zeeman_detuning():

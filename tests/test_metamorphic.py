@@ -12,6 +12,9 @@ rescaled cell gives identical grids, spectra and descriptors, also for
 to GL-32.  The bounds below leave a margin over these figures; a sign slip
 in a pole branch, or a z rule (order choice or drive solve) that reads L
 outside kappa L, fails them.
+
+The pipeline is first order in the probe, so the probe amplitude omega_p
+enters no output: a point without probe is bitwise the point with one.
 """
 
 from functools import lru_cache
@@ -81,3 +84,16 @@ def test_double_density_half_length_is_identical(preset, dl, density):
                   <= RESCALED * spec.transmission)
     errors = fit_errors(orow.params, row.params, sign=1.0)
     assert max(errors.values()) <= RESCALED, errors
+
+
+@pytest.mark.parametrize("dl", [0.0, 1400.0])
+def test_probe_amplitude_enters_no_output(dl):
+    cfg = preset_config("ne_30torr")
+    assert cfg.get("fields", "omega_p_mhz") == 0.5
+    no_probe = ScanConfig(values={**cfg.values, ("fields", "omega_p_mhz"): 0.0})
+    spec, row = point("ne_30torr", dl)
+    other, orow = scan_point(no_probe, mhz(dl))
+    for name in ("delta_grid", "transmission", "gain_flag"):
+        assert np.array_equal(getattr(other, name), getattr(spec, name))
+    assert (other.baseline, other.z_error) == (spec.baseline, spec.z_error)
+    assert repr(orow) == repr(row)

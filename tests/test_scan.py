@@ -3,14 +3,16 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lambda_spectra import (ConfigError, LambdaSpectraError, initial_guess,
-                            parse_config, preset_config, run_scan)
+from lambda_spectra import (ConfigError, LambdaSpectraError, Spectrum,
+                            initial_guess, parse_config, preset_config,
+                            run_scan, transmit)
 from lambda_spectra.cli import main
 from lambda_spectra.csvio import SPECTRUM_HEADER
 from lambda_spectra.scan import (_SCHEMA, ScanConfig, auto_delta_grid,
@@ -113,6 +115,34 @@ def refused_or_runs(values, edits):
             scan_point(cfg, float(big_delta))
         except LambdaSpectraError:
             pass
+
+
+def far_from_the_presets(seed):
+    """400 seeded (values, edits) draws that set several keys far from the
+    presets at once: each key below is 0 with probability 0.2, else
+    log-uniform over 1e-38 to 1e24 in config units; no probe, and one
+    sweep point at +-1e-30 to 1e23 MHz."""
+    keys = [("medium", "ku_mhz"), ("rates", "gamma_r_mhz"),
+            ("rates", "gamma_deph_mhz"), ("rates", "gamma_bc_khz"),
+            ("fields", "omega_d_mhz"), ("medium", "density_cm3"),
+            ("medium", "length_cm")]
+    base = {**parse_config(CHEAP_CONFIG).values, ("sweep", "points"): 1,
+            ("fields", "omega_p_mhz"): 0.0}
+    rng = np.random.default_rng(seed)
+    for _ in range(400):
+        edits = {k: 0.0 if rng.random() < 0.2
+                 else float(10.0 ** rng.uniform(-38, 24)) for k in keys}
+        at = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-30, 23))
+        edits["sweep", "start_mhz"] = edits["sweep", "stop_mhz"] = at
+        yield {**base, **edits}, edits
+
+
+def transmit_or_error(rates, fields, medium, grid):
+    """`transmit`'s spectrum, or the package error it raised."""
+    try:
+        return transmit(rates, fields, medium, delta_grid=grid)
+    except LambdaSpectraError as exc:
+        return exc
 
 
 _FLOAT_KEYS = sorted(k for k, (typ, _) in _SCHEMA.items() if typ is float)
@@ -284,23 +314,37 @@ class TestConfig:
         refused_or_runs(values, edits)
 
     def test_configs_far_from_the_presets_are_refused_or_run(self):
-        # 400 seeded draws that set several keys far from the presets at
-        # once: each key below is 0 with probability 0.2, else log-uniform
-        # over 1e-38 to 1e24 in config units; no probe, and one sweep point
-        # at +-1e-30 to 1e23 MHz
-        keys = [("medium", "ku_mhz"), ("rates", "gamma_r_mhz"),
-                ("rates", "gamma_deph_mhz"), ("rates", "gamma_bc_khz"),
-                ("fields", "omega_d_mhz"), ("medium", "density_cm3"),
-                ("medium", "length_cm")]
-        base = {**parse_config(CHEAP_CONFIG).values, ("sweep", "points"): 1,
-                ("fields", "omega_p_mhz"): 0.0}
-        rng = np.random.default_rng(0)
-        for _ in range(400):
-            edits = {k: 0.0 if rng.random() < 0.2
-                     else float(10.0 ** rng.uniform(-38, 24)) for k in keys}
-            at = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-30, 23))
-            edits["sweep", "start_mhz"] = edits["sweep", "stop_mhz"] = at
-            refused_or_runs({**base, **edits}, edits)
+        for values, edits in far_from_the_presets(0):
+            refused_or_runs(values, edits)
+
+    def test_a_doppler_width_below_1e_8_gamma_is_none(self):
+        # of seeds 0-5, 525 accepted draws have 0 < ku < 1e-8 gamma, where
+        # the Maxwell average is the ku = 0 value to about (ku/gamma)^2; the
+        # exact kernel's partial fractions miss it on 13 of them, by up to
+        # 3.8e-13 in T, so the z rule takes such a ku as none
+        seen = 0
+        for seed in range(6):
+            for values, _ in far_from_the_presets(seed):
+                try:
+                    cfg = parse_config(config_text(ScanConfig(values=values)))
+                except ConfigError:
+                    continue
+                rates, medium = cfg.rates(), cfg.medium()
+                if not 0.0 < medium.ku < 1e-8 * rates.gamma:
+                    continue
+                seen += 1
+                fields = cfg.fields(float(cfg.sweep_deltas()[0]))
+                grid = auto_delta_grid(rates, fields, medium)
+                at_ku, at_zero = (
+                    transmit_or_error(rates, fields, m, grid)
+                    for m in (medium, replace(medium, ku=0.0)))
+                if isinstance(at_ku, Spectrum):
+                    assert np.array_equal(at_ku.transmission,
+                                          at_zero.transmission)
+                    assert at_ku.baseline == at_zero.baseline
+                else:
+                    assert type(at_ku) is type(at_zero)
+        assert seen == 525
 
     @pytest.mark.parametrize("word, value", [
         ("true", True), ("yes", True), ("1", True), ("on", True),
@@ -355,9 +399,13 @@ class TestPresets:
 
 
 class TestAutoGrid:
-    def test_centered_and_resolving(self):
+    @pytest.mark.parametrize("no_doppler", [False, True],
+                             ids=["ne_30torr", "ne_30torr_ku0"])
+    def test_centered_and_resolving(self, no_doppler):
         cfg = preset_config("ne_30torr")
         rates, med = cfg.rates(), cfg.medium()
+        if no_doppler:
+            med = replace(med, ku=0.0)
         for dl_mhz in (0.0, 400.0, 1700.0):
             f = cfg.fields(mhz(dl_mhz))
             grid = auto_delta_grid(rates, f, med)
@@ -590,5 +638,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ne_30torr" in out and "gamma_bc_khz" in out
         assert main(["hanle"]) == 0
-        out = capsys.readouterr().out
-        assert "brightness" in out
+        # orthogonal dark states, each dark on its own transition and
+        # fully bright on the other
+        assert capsys.readouterr().out == """\
+dark states (amplitudes over |m=+1>, |m=-1>):
+  two_to_one: (+0.707107, +0.707107)
+  two_to_two: (+0.707107, -0.707107)
+overlap <dark(2->1)|dark(2->2)> = +0.000e+00+0.000e+00j
+brightness matrix (rows: state, cols: transition):
+  dark of         two_to_one    two_to_two
+  two_to_one        0.000000      1.000000
+  two_to_two        1.000000      0.000000
+"""
