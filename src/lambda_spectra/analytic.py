@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateRates, NoSignChange
 from .model import Fields, Medium, Rates
 
@@ -115,10 +117,11 @@ def population_differences(rates: Rates, fields: Fields) -> tuple[float, float]:
     return paa_minus_pbb, paa_minus_pcc
 
 
-def ac_stark_shift(big_delta: float, omega_d: float, gamma: float) -> float:
+def ac_stark_shift(big_delta, omega_d: float, gamma: float):
     """Drive-induced shift of the two-photon resonance center,
-    delta0 = |omega_d|^2 * Delta / (gamma^2 + Delta^2)."""
-    if gamma <= 0 and big_delta == 0:
+    delta0 = |omega_d|^2 * Delta / (gamma^2 + Delta^2), elementwise where
+    big_delta is an array."""
+    if gamma <= 0 and np.any(np.equal(big_delta, 0)):
         raise ValueError("ac_stark_shift needs gamma > 0 or big_delta != 0")
     return omega_d**2 * big_delta / (gamma**2 + big_delta**2)
 

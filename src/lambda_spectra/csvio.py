@@ -111,12 +111,6 @@ def _to_rad_s(grid_mhz):
         return _RAD_S_PER_MHZ * grid_mhz
 
 
-def _increasing(grid) -> bool:
-    """Whether grid is finite and strictly increasing, as `Spectrum`
-    requires."""
-    return bool(np.isfinite(grid).all() and (np.diff(grid) > 0).all())
-
-
 def _array_body(body):
     """The spectrum of `body` from one `np.loadtxt` pass, as `_parse_rows`
     returns it, or None where loadtxt refuses the rows, they are not 2
@@ -171,7 +165,7 @@ def _parse_rows(path, lines):
 
 def _check_grid_loads(grid_mhz) -> None:
     """Raise ValueError unless the grid, written at 12 significant
-    digits, loads back finite and strictly increasing in rad/s.  Only a
+    digits, loads back as a `Spectrum` grid in rad/s.  Only a
     grid with a gap of at most _SAFE_GAP relative, or a value past
     _SAFE_MHZ, is formatted and parsed back to decide."""
     if (grid_mhz.size and max(-grid_mhz[0], grid_mhz[-1]) <= _SAFE_MHZ
@@ -179,10 +173,12 @@ def _check_grid_loads(grid_mhz) -> None:
                  * np.maximum(-grid_mhz[:-1], grid_mhz[1:])).all()):
         return
     back = _to_rad_s(np.array([float(f"{x:.12g}") for x in grid_mhz]))
-    if not _increasing(back):
+    try:
+        Spectrum(delta_grid=back, transmission=np.zeros(back.shape))
+    except ValueError:
         raise ValueError("12 significant digits do not keep this grid "
                          "finite and strictly increasing in rad/s: the "
-                         "file would not load")
+                         "file would not load") from None
 
 
 def _spectrum_text(spec: Spectrum) -> str:

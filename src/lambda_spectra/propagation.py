@@ -33,8 +33,9 @@ averages the same integrands over velocity nodes instead, as the
 independent cross-check.  At ku <= 1e-8 gamma every scheme evaluates
 them at x = Delta: every pole lies at least gamma off the real axis, so
 that is the Maxwell average to about (ku/gamma)^2 <= 1e-16, which the
-partial fractions can miss there.  `scan` sizes grids with the node form
-of the plateau, `_node_alphas` on an empty grid.
+partial fractions can miss there.  `_kernel` makes that choice for every
+caller; `scan` sizes grids with one `_kernel` call, Gauss-Hermite 32
+nodes on an empty grid (the plateau).
 
 Transmission values are I_p(L)/I_p(0), unnormalized; the spectrum carries
 the baseline and the z rule's error estimate, and `normalize` divides by
@@ -137,11 +138,8 @@ def _node_alphas(rates: Rates, od2: float, w, deff, delta_grid, kappa):
 
 
 def _ladder(cap: int) -> list:
-    """Gauss-Legendre orders 4, 6, 8, 12, 16, 24, ... below cap, then cap."""
-    orders = [4, 6]
-    while 2 * orders[-2] < cap:
-        orders.append(2 * orders[-2])
-    return [n for n in orders if n < cap] + [cap]
+    """The z rule's Gauss-Legendre orders: those below cap, then cap."""
+    return [n for n in (4, 6, 8, 12, 16, 24, 32, 48, 64) if n < cap] + [cap]
 
 
 @lru_cache(maxsize=None)
@@ -172,23 +170,29 @@ def _drive_od2(alphas, od2_entry: float):
     return lambda s: od2(sol.sol(s)[0])
 
 
+def _kernel(rates: Rates, big_delta: float, medium: Medium,
+            quad: QuadratureSpec):
+    """alphas(od2, grid) -> (probe alpha on grid, plateau, alpha_d) per
+    unit s at the drive od2 = |omega_d|^2: the Faddeeva kernel for the
+    exact scheme, `_node_alphas` over `velocity_nodes(quad, ku)` otherwise
+    and wherever ku <= 1e-8 gamma, which counts as ku = 0."""
+    kappa_l = medium.kappa_L(rates.gamma_r)
+    ku = medium.ku if medium.ku > _KU_NONE * rates.gamma else 0.0
+    if quad.scheme == "exact" and ku > 0.0:
+        return lambda od2, grid: maxwell_absorption(rates, od2, big_delta,
+                                                    ku, grid, kappa_l)
+    w, kv = velocity_nodes(quad, ku)
+    return lambda od2, grid: _node_alphas(rates, od2, w, big_delta - kv,
+                                          grid, kappa_l)
+
+
 def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
                     quad: QuadratureSpec, cap: int, delta_grid: np.ndarray):
     """(tau on delta_grid, baseline tau, gain flags, z_error) of the z rule
     that `transmit` describes; every coefficient is per unit s, so the cell
     enters only through kappa L."""
     kappa_l = medium.kappa_L(rates.gamma_r)
-    ku = medium.ku if medium.ku > _KU_NONE * rates.gamma else 0.0
-    if quad.scheme == "exact" and ku > 0.0:
-        def alphas(od2, grid):
-            return maxwell_absorption(rates, od2, fields.big_delta, ku,
-                                      grid, kappa_l)
-    else:
-        w, kv = velocity_nodes(quad, ku)
-        deff = fields.big_delta - kv
-
-        def alphas(od2, grid):
-            return _node_alphas(rates, od2, w, deff, grid, kappa_l)
+    alphas = _kernel(rates, fields.big_delta, medium, quad)
 
     def gain(alpha):
         return alpha < -_GAIN_TOL * kappa_l
@@ -202,26 +206,23 @@ def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
     previous = None
     for n in _ladder(cap):
         s, weights = _gauss_legendre(n)
-        tau, tau_b = np.zeros(delta_grid.size), 0.0
+        tau = np.zeros(delta_grid.size + 1)  # the baseline last
         flags = np.zeros(delta_grid.size, dtype=bool)
         for w_k, od2 in zip(weights, drive(s)):
             alpha, alpha_b, _ = alphas(od2, delta_grid)
-            tau += w_k * alpha
-            tau_b += w_k * alpha_b
+            tau += w_k * np.append(alpha, alpha_b)
             flags |= gain(alpha)
         if previous is not None:
-            z_error = max(np.max(np.abs(tau - previous[0]), initial=0.0),
-                          abs(tau_b - previous[1]))
+            z_error = np.max(np.abs(tau - previous))
             if z_error <= _Z_TOL:
                 break
-        previous = tau, tau_b
-    return tau, tau_b, flags, z_error
+        previous = tau
+    return tau[:-1], tau[-1], flags, z_error
 
 
 def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
-             quad: Optional[QuadratureSpec] = None,
-             slabs: Optional[SlabConfig] = None,
-             delta_grid=None) -> Spectrum:
+             delta_grid, *, quad: QuadratureSpec = _EXACT,
+             slabs: SlabConfig = SlabConfig()) -> Spectrum:
     """Unnormalized probe transmission I_p(L)/I_p(0) on a two-photon grid.
 
     T = exp(-tau), with tau(delta) = sum_k w_k L alpha(I_d(s_k), delta)
@@ -229,8 +230,8 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
     drive intensity I_d(s) comes from one DOP853 solve of its depletion
     equation per call (rtol 1e-10, atol 1e-13 on ln I_d, each right-hand
     side one kernel call on an empty grid).  The orders n = 4, 6, 8, 12,
-    16, 24, 32, 48, ... up to slabs.slab_count (default 64) are tried in
-    turn; the first n whose tau, on the grid and for the baseline, moves
+    16, 24, 32, 48, 64 below slabs.slab_count, then slab_count, are tried
+    in turn; the first n whose tau, on the grid and for the baseline, moves
     by at most 1e-8 against the previous order is accepted, and at the
     cap the cap's result is returned.  That last difference is the
     spectrum's `z_error`, in optical depth.  Where the drive cannot change
@@ -242,17 +243,17 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
     baseline of the same rule in `baseline`, and flags in `gain_flag` the
     grid points where the probe coefficient at a node of the accepted
     order is negative beyond 1e-6*kappa; gain is physical in some Raman
-    regimes, so it is recorded, not fatal.  quad defaults to the exact
-    Doppler average.
+    regimes, so it is recorded, not fatal.
+
+    delta_grid (rad/s) is required; the keywords quad (default
+    QuadratureSpec("exact"), the exact Doppler average) and slabs
+    (default SlabConfig(), largest order 64) select the velocity average
+    and the z rule's cap.
     """
     if medium.length <= 0:
         raise ValueError("medium.length must be > 0")
     if fields_at_entry.omega_p > fields_at_entry.omega_d:
         raise ValueError("weak-probe regime requires omega_p <= omega_d")
-    if delta_grid is None:
-        raise ValueError("delta_grid is required")
-    quad = quad or _EXACT
-    slabs = slabs or SlabConfig()
     delta_grid = np.asarray(delta_grid, dtype=float)
 
     tau, tau_b, gain, z_error = _optical_depths(
@@ -267,7 +268,7 @@ def reference_transmission(rates: Rates, fields: Fields,
     """Coherence-free baseline transmission: the |delta| -> infinity plateau
     of the absorption profile through the same cell, as the pipeline
     integrates it (the baseline `transmit` returns for an empty grid)."""
-    return transmit(rates, fields, medium, delta_grid=_NO_GRID).baseline
+    return transmit(rates, fields, medium, _NO_GRID).baseline
 
 
 def normalize(spectrum: Spectrum) -> Spectrum:

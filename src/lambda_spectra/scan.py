@@ -39,13 +39,13 @@ from .analytic import (LineshapeParams, ac_stark_shift,
                        density_narrowed_width)
 from .csvio import (DescriptorCurve, DescriptorRow, _check_grid_loads,
                     export_csv)
-from .doppler import QuadratureSpec, velocity_nodes
+from .doppler import QuadratureSpec
 from .errors import ConfigError, DegenerateSpectrum, NonPhysicalValue
 from .fitting import fit_lineshape
 # drive_only_populations is unused here: perfbench's traced counts bind it
 from .model import Fields, Medium, Rates, drive_only_populations  # noqa: F401
-from .propagation import (_EXACT, _NO_GRID, SlabConfig, Spectrum,
-                          _node_alphas, normalize, transmit)
+from .propagation import (_EXACT, _NO_GRID, SlabConfig, Spectrum, _kernel,
+                          normalize, transmit)
 from .units import cm, khz, mhz, nm, per_cm3, to_mhz
 
 __all__ = ["ScanConfig", "load_config", "parse_config", "preset_config",
@@ -174,20 +174,17 @@ def _validate(values: dict, origin: str) -> None:
         bad("delta_grid", "mode", "must be 'auto' or 'explicit'")
     if values[("delta_grid", "points")] < 7:
         bad("delta_grid", "points", "grid needs at least 7 points")
-    if values[("delta_grid", "mode")] == "explicit" and not (
-            abs(khz(values[("delta_grid", "center_khz")]))
-            + khz(values[("delta_grid", "span_khz")]) <= _MAX_RATE
-            and np.all(np.diff(cfg.explicit_grid()) > 0)):
-        bad("delta_grid", "span_khz", "the explicit grid [delta_grid] "
-            f"center_khz +- span_khz must lie within {_MAX_RATE:g} rad/s and "
-            "strictly increase (span_khz > 0, above float resolution)")
     if values[("delta_grid", "mode")] == "explicit":
         try:
+            if not (abs(khz(values[("delta_grid", "center_khz")]))
+                    + khz(values[("delta_grid", "span_khz")]) <= _MAX_RATE):
+                raise ValueError
             _check_grid_loads(to_mhz(cfg.explicit_grid()))
         except ValueError:
-            bad("delta_grid", "span_khz", "the explicit grid's points must "
-                "stay apart at the 12 significant digits of the spectrum "
-                "CSVs: widen span_khz or lower points")
+            bad("delta_grid", "span_khz", "the explicit grid [delta_grid] "
+                f"center_khz +- span_khz must lie within {_MAX_RATE:g} rad/s, "
+                "and its points stay apart at the 12 significant digits of "
+                "the spectrum CSVs (span_khz > 0, wide enough for the points)")
     if values[("sweep", "points")] < 1:
         bad("sweep", "points", "sweep needs at least 1 point")
     ends = [abs(values[("sweep", k)]) for k in ("start_mhz", "stop_mhz")]
@@ -196,6 +193,16 @@ def _validate(values: dict, origin: str) -> None:
         bad("sweep", "stop_mhz", f"[sweep] start_mhz and stop_mhz must lie "
             f"within {_MAX_RATE:g} rad/s, and a sweep of several points "
             "needs stop > start and strictly increasing detunings")
+    if values[("delta_grid", "mode")] == "auto":
+        for big_delta in cfg.sweep_deltas():  # each grid as scan_point sizes it
+            grid = auto_delta_grid(rates, cfg.fields(float(big_delta)), medium,
+                                   values[("delta_grid", "points")])
+            reach = max(-grid[0], grid[-1])
+            if not reach <= _MAX_RATE:
+                bad("fields", "omega_d_mhz", f"at Delta = "
+                    f"{to_mhz(big_delta):g} MHz the auto grid reaches "
+                    f"{reach:g} rad/s, past {_MAX_RATE:g}: its span grows with "
+                    "omega_d^2/gamma and with [rates] gamma_bc_khz")
 
 
 def parse_config(text: str, origin: str = "<config>") -> ScanConfig:
@@ -325,17 +332,6 @@ def config_text(cfg: ScanConfig) -> str:
 # ----------------------------------------------------------------------
 
 
-def _background_depth(rates: Rates, fields: Fields, medium: Medium) -> float:
-    """Doppler-averaged background optical depth of the probe at the entry
-    drive intensity, from the Gauss-Hermite 32-node form (`_node_alphas`
-    on an empty grid); it only sets the span of `auto_delta_grid`.  It is
-    not the exact depth: on `vacuum` at Delta = 0 it reads 0.46 against
-    the exact kernel's 8.97 (`maxwell_absorption` on an empty grid)."""
-    w, kv = velocity_nodes(QuadratureSpec(node_count=32), medium.ku)
-    return _node_alphas(rates, fields.omega_d**2, w, fields.big_delta - kv,
-                        _NO_GRID, medium.kappa_L(rates.gamma_r))[1]
-
-
 def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
                     base_points: int = 801) -> np.ndarray:
     """Two-photon grid adapted to the resonance at this one-photon detuning.
@@ -347,18 +343,20 @@ def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
     """
     g, gbc = rates.gamma, rates.gamma_bc
     od = fields.omega_d
-    od2 = od * od
     dl = fields.big_delta
     ku = medium.ku
 
     d0 = ac_stark_shift(dl, od, g)
-    w_nat = gbc + g * od2 / (g * g + dl * dl)
+    w_nat = gbc + g * (od * od) / (g * g + dl * dl)
 
     shifts = np.linspace(-2 * ku, 2 * ku, 41)
-    d0_all = od2 * (dl - shifts) / (g * g + (dl - shifts) ** 2)
-    spread = float(np.max(np.abs(d0_all - d0)))
+    spread = float(np.max(np.abs(ac_stark_shift(dl - shifts, od, g) - d0)))
 
-    od_bg = _background_depth(rates, fields, medium)
+    # Doppler-averaged background depth at the entry drive, from 32
+    # Gauss-Hermite nodes: it only sets the span, and is not the exact
+    # depth (on vacuum at Delta = 0 it reads 0.46 against the exact 8.97)
+    od_bg = _kernel(rates, dl, medium, QuadratureSpec(node_count=32))(
+        od**2, _NO_GRID)[1]
     kl = medium.kappa_L(rates.gamma_r)
 
     span = (30.0 * max(w_nat, spread / 3.0) / math.sqrt(1.0 + min(od_bg, 30.0))
@@ -391,8 +389,8 @@ def scan_point(cfg: ScanConfig, big_delta: float) -> tuple[Spectrum, DescriptorR
 
     # quad and slabs stay explicit: perfbench's traced counts read them
     # from this call's arguments (slab_count is the z rule's largest order)
-    spec = normalize(transmit(rates, fields, medium, _EXACT,
-                              SlabConfig(), grid))
+    spec = normalize(transmit(rates, fields, medium, grid, quad=_EXACT,
+                              slabs=SlabConfig()))
     gain = bool(np.any(spec.gain_flag))
 
     try:

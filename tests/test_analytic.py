@@ -9,7 +9,8 @@ from lambda_spectra import (DegenerateRates, Fields, LineshapeParams, Medium,
                             NoSignChange, Rates,
                             absorption_profile, ac_stark_shift,
                             density_narrowed_width, lineshape_coefficients,
-                            resonance_width, sign_change_detuning)
+                            preset_config, preset_names, resonance_width,
+                            sign_change_detuning)
 from lambda_spectra.units import khz, mhz
 
 from oracles import sign_change_bisection, strong_drive_susceptibility
@@ -130,6 +131,25 @@ class TestAcStark:
         assert ac_stark_shift(g, od, g) == pytest.approx(od**2 / (2 * g),
                                                          rel=1e-12)
         assert vals[i] <= od**2 / (2 * g) + 1e-9
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_an_array_matches_the_scalar_calls(self, name):
+        # the 41 Doppler-shifted detunings auto_delta_grid samples at each
+        # sweep point, bit for bit
+        cfg = preset_config(name)
+        g, ku, od = cfg.rates().gamma, cfg.medium().ku, cfg.fields().omega_d
+        for dl in cfg.sweep_deltas():
+            dls = dl - np.linspace(-2 * ku, 2 * ku, 41)
+            scalars = np.array([ac_stark_shift(float(x), od, g) for x in dls])
+            assert ac_stark_shift(dls, od, g).tobytes() == scalars.tobytes()
+
+    def test_an_array_at_zero_linewidth(self):
+        # the Delta = 0 guard tests every element
+        od, dls = mhz(2.5), np.array([-mhz(3), mhz(1), mhz(40)])
+        assert np.array_equal(ac_stark_shift(dls, od, 0.0),
+                              [ac_stark_shift(float(x), od, 0.0) for x in dls])
+        with pytest.raises(ValueError):
+            ac_stark_shift(np.append(dls, 0.0), od, 0.0)
 
 
 class TestResonanceWidth:

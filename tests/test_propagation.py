@@ -55,8 +55,8 @@ class TestTransmit:
         rates, f = rates30(), fields30(mhz(300))
         grid = ac_stark_shift(f.big_delta, f.omega_d, rates.gamma) + \
             np.linspace(-khz(20), khz(20), 21)
-        spec = transmit(rates, f, med, QuadratureSpec(scheme), SlabConfig(64),
-                        grid)
+        spec = transmit(rates, f, med, grid, quad=QuadratureSpec(scheme),
+                        slabs=SlabConfig(64))
         g, kappa_l = rates.gamma, med.kappa_L(rates.gamma_r)
 
         def alphas(od2, deltas):
@@ -84,7 +84,8 @@ class TestTransmit:
         assert med.kappa_L(rates.gamma_r) / rates.gamma < 0.02
         gt = resonance_width(0.0, f.omega_d, rates.gamma, rates.gamma_bc)
         grid = np.linspace(-10 * gt, 10 * gt, 41)
-        spec = transmit(rates, f, med, QuadratureSpec(), SlabConfig(64), grid)
+        spec = transmit(rates, f, med, grid, quad=QuadratureSpec(),
+                        slabs=SlabConfig(64))
         for d, t in zip(grid, spec.transmission):
             al = absorption_profile(rates, Fields(f.omega_d, 0.0, 0.0, d),
                                     med) * med.length
@@ -100,7 +101,8 @@ class TestTransmit:
         rates, f = rates30(), fields30(mhz(900))
         d0 = ac_stark_shift(f.big_delta, f.omega_d, rates.gamma)
         grid = d0 + np.linspace(-khz(10), khz(10), 11)
-        spec = transmit(rates, f, med, QuadratureSpec(), SlabConfig(16), grid)
+        spec = transmit(rates, f, med, grid, quad=QuadratureSpec(),
+                        slabs=SlabConfig(16))
 
         kappa = med.kappa(rates.gamma_r)
 
@@ -233,8 +235,8 @@ class TestEdgeRates:
         # gamma_bc = 0 pumps everything into the dark state
         cfg = preset_config(preset)
         rates = replace(cfg.rates(), gamma_bc=0.0)
-        spec = transmit(rates, cfg.fields(), cfg.medium(), EXACT,
-                        SlabConfig(32), self.GRID)
+        spec = transmit(rates, cfg.fields(), cfg.medium(), self.GRID,
+                        quad=EXACT, slabs=SlabConfig(32))
         assert spec.transmission[50] == 1.0
 
     @pytest.mark.parametrize("quad", [QuadratureSpec("trapezoid", 65),
@@ -244,7 +246,7 @@ class TestEdgeRates:
         # Delta - kv = 0, where the pumping rate and the Lorentzians are 0/0
         cfg = preset_config("ne_30torr")
         spec = transmit(Rates(0.0, 0.0, 1e3), cfg.fields(), cfg.medium(),
-                        quad, SlabConfig(32), self.GRID)
+                        self.GRID, quad=quad, slabs=SlabConfig(32))
         assert np.array_equal(spec.transmission, np.ones(self.GRID.size))
         assert spec.baseline == 1.0
 
@@ -253,8 +255,8 @@ class TestEdgeRates:
         # drive to deplete, so alpha is read once
         cfg = preset_config("ne_30torr")
         f = Fields(omega_d=0.0, omega_p=0.0, big_delta=mhz(300))
-        spec = normalize(transmit(cfg.rates(), f, cfg.medium(), EXACT,
-                                  SlabConfig(32), self.GRID))
+        spec = normalize(transmit(cfg.rates(), f, cfg.medium(), self.GRID,
+                                  quad=EXACT, slabs=SlabConfig(32)))
         assert spec.z_error == 0.0
         assert spec.transmission[50] == 1.0
         assert np.max(np.abs(spec.transmission - 1.0)) < 3e-4
@@ -264,7 +266,8 @@ class TestEdgeRates:
         rates = replace(cfg.rates(), gamma_bc=0.0)
         f = Fields(omega_d=0.0, omega_p=0.0, big_delta=mhz(300))
         with pytest.raises(DegenerateRates):
-            transmit(rates, f, cfg.medium(), EXACT, SlabConfig(32), self.GRID)
+            transmit(rates, f, cfg.medium(), self.GRID, quad=EXACT,
+                     slabs=SlabConfig(32))
 
 
 class TestExactKernel:
@@ -364,8 +367,8 @@ class TestExactKernel:
         cfg = preset_config("vacuum")
         dark = Rates(gamma_r=0.0, gamma_deph=0.0, gamma_bc=khz(30))
         for scheme in ("exact", "gauss_hermite"):
-            spec = transmit(dark, cfg.fields(), cfg.medium(),
-                            QuadratureSpec(scheme), SlabConfig(16), self.GRID)
+            spec = transmit(dark, cfg.fields(), cfg.medium(), self.GRID,
+                            quad=QuadratureSpec(scheme), slabs=SlabConfig(16))
             assert np.all(spec.transmission == 1.0) and spec.baseline == 1.0
         rates, ku = cfg.rates(), cfg.medium().ku
         deltas = np.array([0.0, mhz(1)])
@@ -398,7 +401,8 @@ class TestExactKernel:
         rates, med, f = cfg.rates(), cfg.medium(), cfg.fields(mhz(100))
         grid = ac_stark_shift(f.big_delta, f.omega_d, rates.gamma) + \
             np.linspace(-khz(200), khz(200), 9)
-        exact, dense = (transmit(rates, f, med, q, SlabConfig(16), grid)
+        exact, dense = (transmit(rates, f, med, grid, quad=q,
+                                 slabs=SlabConfig(16))
                         for q in (QuadratureSpec("exact"),
                                   QuadratureSpec("trapezoid", 8001)))
         assert np.allclose(exact.transmission, dense.transmission,
@@ -450,7 +454,7 @@ class TestZRule:
 
             def alphas(od2, g):
                 return propagation._node_alphas(rates, od2, w, dl - kv, g, kl)
-        spec = transmit(rates, f, med, QuadratureSpec(scheme), None, grid)
+        spec = transmit(rates, f, med, grid, quad=QuadratureSpec(scheme))
         return (spec, *slab_march_richardson(alphas, f.omega_d**2, grid))
 
     @pytest.mark.parametrize("scheme", Z_SCHEMES)
@@ -496,8 +500,9 @@ class TestZRule:
             return maxwell_absorption(rates, od2, dl, ku, grid, kappa)
 
         monkeypatch.setattr(propagation, "maxwell_absorption", counted)
-        spec = transmit(cfg.rates(), cfg.fields(), cfg.medium(), EXACT,
-                        SlabConfig(cap), np.linspace(-khz(50), khz(50), 5))
+        spec = transmit(cfg.rates(), cfg.fields(), cfg.medium(),
+                        np.linspace(-khz(50), khz(50), 5), quad=EXACT,
+                        slabs=SlabConfig(cap))
         assert sum(n > 0 for n in probe_calls) == calls
         assert (spec.z_error <= 1e-8) == (density == 1.0)
 
