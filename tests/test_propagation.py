@@ -1,5 +1,6 @@
 """Propagation: closed-form limits, the z rule against a slab-march
-oracle, normalization."""
+oracle, its subgrid-chosen order against the whole-grid ladder,
+normalization."""
 
 import math
 from dataclasses import replace
@@ -8,7 +9,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from lambda_spectra import (DegenerateRates, Fields, Medium, QuadratureSpec,
+from lambda_spectra import (ConfigError, DegenerateRates, Fields,
+                            LambdaSpectraError, Medium, QuadratureSpec,
                             Rates, ScanConfig, SlabConfig, Spectrum,
                             ZeroBackground, absorption_profile,
                             ac_stark_shift, auto_delta_grid, doppler_average,
@@ -17,9 +19,12 @@ from lambda_spectra import (DegenerateRates, Fields, Medium, QuadratureSpec,
                             weak_probe_susceptibility)
 from lambda_spectra import propagation
 from lambda_spectra.model import drive_only_populations, maxwell_absorption
+from lambda_spectra.scan import config_text, parse_config
 from lambda_spectra.units import khz, mhz
 
-from oracles import doppler_average_trapezoid, slab_march_richardson
+from oracles import (doppler_average_trapezoid, full_grid_ladder,
+                     slab_march_richardson)
+from test_scan import far_from_the_presets
 
 EXACT = QuadratureSpec("exact")
 MED30 = Medium(density=2.5e17, length=0.025, wavelength=794.979e-9, ku=mhz(250))
@@ -423,7 +428,16 @@ class TestZRule:
     Measured: |T - T_oracle| <= 4.4e-12 of ptp(T_oracle) on the presets,
     and the optical-depth error <= 6e-8 everywhere, within z_error or the
     oracle's own floor (its 1024/2048-slab extrapolation moves by up to
-    3e-8 at 10x density)."""
+    3e-8 at 10x density).
+
+    z_error is the last order's move on the subgrid the ladder climbs and
+    on the baseline: an upper estimate of the accepted order's error.  A
+    grid of more than 520 points climbs on 65 of them and is then
+    evaluated once, whole, at the accepted order; these 21-point grids
+    climb on themselves (TestSubgridOrder covers the wide grids).  Where T
+    underflows (tau >> 745) the whole grid can move more than the subgrid
+    did: fuzz seed 4, draw 136 read z_error 1.9e-6 at the cap on the whole
+    grid and 5e-20 on the subgrid."""
 
     T_BOUND = 1e-7  # of ptp(T_oracle)
     ORACLE_FLOOR = 1e-8  # optical depth
@@ -482,13 +496,20 @@ class TestZRule:
         assert propagation._ladder(16) == [4, 6, 8, 12, 16]
         assert propagation._ladder(20) == [4, 6, 8, 12, 16, 20]
 
-    @pytest.mark.parametrize("density, cap, calls", [(1.0, 64, 4 + 6),
-                                                     (10.0, 16, 46)])
+    @pytest.mark.parametrize("density, cap, points, calls", [
+        pytest.param(1.0, 64, 5, [5] * (4 + 6), id="1.0-64-10"),
+        pytest.param(10.0, 16, 5, [5] * 46, id="10.0-16-46"),
+        pytest.param(1.0, 64, 520, [520] * (4 + 6), id="520-points"),
+        pytest.param(1.0, 64, 521, [65] * (4 + 6) + [521] * 6,
+                     id="521-points"),
+        pytest.param(1.0, 64, 801, [65] * (4 + 6) + [801] * 6,
+                     id="801-points")])
     def test_ladder_stops_at_tolerance_or_cap(self, monkeypatch, density,
-                                               cap, calls):
+                                               cap, points, calls):
         # ne_30torr is accepted at GL-6; vacuum at 10x density does not
         # meet 1e-8 below GL-16, so a cap of 16 returns GL-16 after
-        # 4 + 6 + 8 + 12 + 16 probe calls
+        # 4 + 6 + 8 + 12 + 16 probe calls.  A grid above 520 points climbs
+        # on 65 of them, then runs the accepted order once on itself.
         values = dict(preset_config("vacuum" if density > 1 else
                                     "ne_30torr").values)
         values["medium", "density_cm3"] *= density
@@ -496,15 +517,106 @@ class TestZRule:
         probe_calls = []
 
         def counted(rates, od2, dl, ku, grid, kappa):
-            probe_calls.append(grid.size)
+            if grid.size:
+                probe_calls.append(grid.size)
             return maxwell_absorption(rates, od2, dl, ku, grid, kappa)
 
         monkeypatch.setattr(propagation, "maxwell_absorption", counted)
         spec = transmit(cfg.rates(), cfg.fields(), cfg.medium(),
-                        np.linspace(-khz(50), khz(50), 5), quad=EXACT,
+                        np.linspace(-khz(50), khz(50), points), quad=EXACT,
                         slabs=SlabConfig(cap))
-        assert sum(n > 0 for n in probe_calls) == calls
+        assert probe_calls == calls
         assert (spec.z_error <= 1e-8) == (density == 1.0)
+
+
+def full_grid_spectrum(rates, fields, medium, grid):
+    """(T, baseline, gain flags) of the z rule climbed on the whole grid:
+    `oracles.full_grid_ladder` (cap 64) on transmit's own kernel and drive
+    solve, or one kernel call where the drive cannot change."""
+    kappa_l = medium.kappa_L(rates.gamma_r)
+    alphas = propagation._kernel(rates, fields.big_delta, medium, EXACT)
+    od2 = fields.omega_d ** 2
+    if kappa_l == 0.0 or od2 == 0.0:
+        tau, tau_b, _ = alphas(od2, grid)
+        least = tau
+    else:
+        tau, tau_b, least, _ = full_grid_ladder(
+            alphas, propagation._drive_od2(alphas, od2), grid, 64)
+    return np.exp(-tau), float(np.exp(-tau_b)), least < -1e-6 * kappa_l
+
+
+class TestSubgridOrder:
+    """The order `transmit` chooses on its 65-point subgrid, held to the
+    order the ladder climbed on the whole grid reaches: T, baseline and
+    gain flags bitwise equal, on the auto grids the pipeline uses (801
+    points and more, so every case below takes the subgrid)."""
+
+    @staticmethod
+    def difference(rates, fields, medium, grid):
+        """max |T - T_ladder| and |baseline - baseline_ladder|, after
+        asserting equal gain flags; 0 where both raise one package
+        error."""
+        try:
+            spec = transmit(rates, fields, medium, grid)
+        except LambdaSpectraError as exc:
+            with pytest.raises(type(exc)):
+                full_grid_spectrum(rates, fields, medium, grid)
+            return 0.0
+        want, base, flags = full_grid_spectrum(rates, fields, medium, grid)
+        assert np.array_equal(spec.gain_flag, flags)
+        return max(np.max(np.abs(spec.transmission - want), initial=0.0),
+                   abs(spec.baseline - base))
+
+    @pytest.mark.parametrize("preset", ["ne_30torr", "vacuum", "kr_0.12torr",
+                                        "ne_100torr"])
+    def test_every_preset_point(self, preset):
+        cfg = preset_config(preset)
+        rates, med = cfg.rates(), cfg.medium()
+        for dl in cfg.sweep_deltas():
+            f = cfg.fields(float(dl))
+            grid = auto_delta_grid(rates, f, med,
+                                   cfg.get("delta_grid", "points"))
+            assert self.difference(rates, f, med, grid) == 0.0, dl
+
+    @pytest.mark.parametrize("preset", ["ne_30torr", "vacuum"])
+    @pytest.mark.parametrize("density", [3.0, 10.0])
+    @pytest.mark.parametrize("at", ["0", "mid"])
+    def test_dense_cells(self, preset, density, at):
+        # vacuum at 10x density, Delta = 0, climbs to the cap either way
+        values = dict(preset_config(preset).values)
+        values["medium", "density_cm3"] *= density
+        cfg = ScanConfig(values=values)
+        deltas = cfg.sweep_deltas()
+        dl = 0.0 if at == "0" else float(deltas[deltas.size // 2])
+        rates, med, f = cfg.rates(), cfg.medium(), cfg.fields(dl)
+        grid = auto_delta_grid(rates, f, med, cfg.get("delta_grid", "points"))
+        assert self.difference(rates, f, med, grid) == 0.0
+
+    # (seed, draw): bound on max |Delta T|.  Seed 4 draw 136 underflows
+    # (tau >> 745): the whole grid climbs to the cap, z_error 1.9e-6, while
+    # the subgrid accepts GL-6 at 5e-20; T moves by 2.2e-16, and the
+    # baseline is 0 both ways
+    NOT_BITWISE = {(4, 136): 4.5e-16}
+
+    def test_far_from_the_presets(self):
+        accepted, moved = 0, {}
+        for seed in range(6):
+            for draw, (values, _) in enumerate(far_from_the_presets(seed)):
+                try:
+                    cfg = parse_config(config_text(ScanConfig(values=values)))
+                except ConfigError:
+                    continue
+                accepted += 1
+                rates, medium = cfg.rates(), cfg.medium()
+                fields = cfg.fields(float(cfg.sweep_deltas()[0]))
+                grid = auto_delta_grid(rates, fields, medium)
+                error = self.difference(rates, fields, medium, grid)
+                if error != 0.0:
+                    moved[seed, draw] = error
+        assert accepted == 1272
+        assert moved.keys() == self.NOT_BITWISE.keys(), moved
+        for key, error in moved.items():
+            assert error <= self.NOT_BITWISE[key], (key, error)
 
 
 def test_reference_is_plateau_level():
