@@ -431,23 +431,27 @@ class TestZRule:
     3e-8 at 10x density).
 
     z_error is the last order's move on the subgrid the ladder climbs and
-    on the baseline: an upper estimate of the accepted order's error.  A
-    grid of more than 520 points climbs on 65 of them and is then
+    on the baseline: an estimate of the accepted order's error, not a
+    bound (on the presets that error is at most 1.2e-11 against GL-64,
+    and z_error reads down to 0.29 of it).  A
+    grid of more than 65 points climbs on 65 points spread over it and the
+    points nearest the line at the entry and exit drive, and is then
     evaluated once, whole, at the accepted order; these 21-point grids
-    climb on themselves (TestSubgridOrder covers the wide grids).  Where T
-    underflows (tau >> 745) the whole grid can move more than the subgrid
-    did: fuzz seed 4, draw 136 read z_error 1.9e-6 at the cap on the whole
-    grid and 5e-20 on the subgrid."""
+    climb on themselves, the auto grids of the `on_the_subgrid` cases do
+    not (TestSubgridOrder holds the chosen order to the whole grid's).
+    Where T underflows (tau >> 745) the whole grid can move more than the
+    subgrid did: fuzz seed 4, draw 136 read z_error 1.9e-6 at the cap on
+    the whole grid and 5e-20 on the subgrid."""
 
     T_BOUND = 1e-7  # of ptp(T_oracle)
     ORACLE_FLOOR = 1e-8  # optical depth
 
     @staticmethod
     @lru_cache(maxsize=None)
-    def case(preset, at, density, scheme):
+    def case(preset, at, density, scheme, on_auto=False):
         """(spectrum from transmit, oracle tau on its grid, oracle
         baseline tau) at Delta = 0 or mid-sweep, density times the
-        preset's."""
+        preset's; on the point's auto grid itself where on_auto."""
         values = dict(preset_config(preset).values)
         values["medium", "density_cm3"] *= density
         cfg = ScanConfig(values=values)
@@ -457,7 +461,8 @@ class TestZRule:
         auto = auto_delta_grid(rates, f, med)
         gt = resonance_width(dl, f.omega_d, rates.gamma, rates.gamma_bc)
         u = math.asinh(0.5 * (auto[-1] - auto[0]) / gt)
-        grid = auto[auto.size // 2] + gt * np.sinh(np.linspace(-u, u, 21))
+        grid = (auto if on_auto else
+                auto[auto.size // 2] + gt * np.sinh(np.linspace(-u, u, 21)))
         kl = med.kappa_L(rates.gamma_r)
         if scheme == "exact":
             def alphas(od2, g):
@@ -486,7 +491,19 @@ class TestZRule:
            for k in (3.0, 10.0)])
     def test_z_error_bounds_the_oracle_error(self, preset, at, density,
                                              scheme):
-        spec, tau, tau_b = self.case(preset, at, density, scheme)
+        self.assert_z_error_bounds(*self.case(preset, at, density, scheme))
+
+    @pytest.mark.parametrize("preset, density", [("ne_30torr", 1.0),
+                                                 ("vacuum", 10.0)])
+    def test_z_error_bounds_the_oracle_error_on_the_subgrid(self, preset,
+                                                            density):
+        # the auto grid at Delta = 0 (801 points and more) climbs on 65;
+        # vacuum at 10x density ends at the cap
+        spec, tau, tau_b = self.case(preset, "0", density, "exact", True)
+        assert spec.delta_grid.size >= 801
+        self.assert_z_error_bounds(spec, tau, tau_b)
+
+    def assert_z_error_bounds(self, spec, tau, tau_b):
         error = max(np.max(np.abs(-np.log(spec.transmission) - tau)),
                     abs(-math.log(spec.baseline) - tau_b))
         assert error <= max(spec.z_error, self.ORACLE_FLOOR)
@@ -499,17 +516,17 @@ class TestZRule:
     @pytest.mark.parametrize("density, cap, points, calls", [
         pytest.param(1.0, 64, 5, [5] * (4 + 6), id="1.0-64-10"),
         pytest.param(10.0, 16, 5, [5] * 46, id="10.0-16-46"),
-        pytest.param(1.0, 64, 520, [520] * (4 + 6), id="520-points"),
-        pytest.param(1.0, 64, 521, [65] * (4 + 6) + [521] * 6,
-                     id="521-points"),
+        pytest.param(1.0, 64, 65, [65] * (4 + 6), id="65-points"),
+        pytest.param(1.0, 64, 66, [65] * (4 + 6) + [66] * 6, id="66-points"),
         pytest.param(1.0, 64, 801, [65] * (4 + 6) + [801] * 6,
                      id="801-points")])
     def test_ladder_stops_at_tolerance_or_cap(self, monkeypatch, density,
                                                cap, points, calls):
         # ne_30torr is accepted at GL-6; vacuum at 10x density does not
         # meet 1e-8 below GL-16, so a cap of 16 returns GL-16 after
-        # 4 + 6 + 8 + 12 + 16 probe calls.  A grid above 520 points climbs
-        # on 65 of them, then runs the accepted order once on itself.
+        # 4 + 6 + 8 + 12 + 16 probe calls.  A grid above 65 points climbs
+        # on 65 of them (at Delta = 0 the point nearest the line is one of
+        # the spread points), then runs the accepted order once on itself.
         values = dict(preset_config("vacuum" if density > 1 else
                                     "ne_30torr").values)
         values["medium", "density_cm3"] *= density
@@ -546,10 +563,11 @@ def full_grid_spectrum(rates, fields, medium, grid):
 
 
 class TestSubgridOrder:
-    """The order `transmit` chooses on its 65-point subgrid, held to the
-    order the ladder climbed on the whole grid reaches: T, baseline and
-    gain flags bitwise equal, on the auto grids the pipeline uses (801
-    points and more, so every case below takes the subgrid)."""
+    """The order `transmit` chooses on its subgrid, held to the order the
+    ladder climbed on the whole grid reaches: T, baseline and gain flags
+    bitwise equal on the auto grids the pipeline uses (801 points and
+    more), and tau within z_error of it on explicit grids.  Every case
+    below takes the subgrid."""
 
     @staticmethod
     def difference(rates, fields, medium, grid):
@@ -591,6 +609,37 @@ class TestSubgridOrder:
         rates, med, f = cfg.rates(), cfg.medium(), cfg.fields(dl)
         grid = auto_delta_grid(rates, f, med, cfg.get("delta_grid", "points"))
         assert self.difference(rates, f, med, grid) == 0.0
+
+    @pytest.mark.parametrize("preset", ["ne_30torr", "ne_100torr"])
+    @pytest.mark.parametrize("density", [1.0, 10.0])
+    @pytest.mark.parametrize("at", ["0", "mid"])
+    @pytest.mark.parametrize("shape", ["even", "101", "wide"])
+    def test_explicit_grids(self, preset, density, at, shape):
+        # the auto span with an even count (no centre point) or with 101
+        # points, and a span 30 times wider with the line off-centre,
+        # between the 65 spread points.  Bitwise where the orders agree;
+        # else tau moves by at most z_error against the whole-grid ladder
+        values = dict(preset_config(preset).values)
+        values["medium", "density_cm3"] *= density
+        cfg = ScanConfig(values=values)
+        deltas = cfg.sweep_deltas()
+        dl = 0.0 if at == "0" else float(deltas[deltas.size // 2])
+        rates, med, f = cfg.rates(), cfg.medium(), cfg.fields(dl)
+        auto = auto_delta_grid(rates, f, med)
+        d0, half = auto[auto.size // 2], 0.5 * (auto[-1] - auto[0])
+        grid = d0 + {"even": np.linspace(-half, half, 1000),
+                     "101": np.linspace(-half, half, 101),
+                     "wide": np.linspace(-12.0, 48.0, 1201) * half}[shape]
+        if shape == "wide":
+            spread = np.rint(np.linspace(0, grid.size - 1, 65))
+            assert np.abs(grid - d0).argmin() not in spread
+        tau, tau_b, flags, z_error = propagation._optical_depths(
+            rates, f, med, EXACT, 64, grid)
+        alphas = propagation._kernel(rates, dl, med, EXACT)
+        want, want_b, _, _ = full_grid_ladder(
+            alphas, propagation._drive_od2(alphas, f.omega_d ** 2), grid, 64)
+        moved = max(np.max(np.abs(tau - want)), abs(tau_b - want_b))
+        assert moved <= z_error
 
     # (seed, draw): bound on max |Delta T|.  Seed 4 draw 136 underflows
     # (tau >> 745): the whole grid climbs to the cap, z_error 1.9e-6, while
