@@ -139,8 +139,9 @@ def _node_alphas(rates: Rates, od2: float, w, deff, delta_grid, kappa):
 
 
 def _ladder(cap: int) -> list:
-    """The z rule's Gauss-Legendre orders: those below cap, then cap."""
-    return [n for n in (4, 6, 8, 12, 16, 24, 32, 48, 64) if n < cap] + [cap]
+    """The z rule's Gauss-Legendre orders below cap, then cap."""
+    return [n for n in (2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 64)
+            if n < cap] + [cap]
 
 
 @lru_cache(maxsize=None)
@@ -151,24 +152,23 @@ def _gauss_legendre(n: int):
 
 
 def _drive_od2(alphas, od2_entry: float):
-    """|omega_d|^2 as a function of s from one DOP853 solve of
-    d ln(I_d/I_d(0))/ds = -L alpha_d.  ln I_d is clamped at 0 wherever it
-    is read: the drive only decays, and a trial stage above 0 would
-    overflow exp at large kappa L.  The first trial step is the depth over
-    which the entry drive would fall by 1/e, at most the cell: from
-    ln I_d = 0 the solver's own guess starts about 1e-6 deep and spends
-    most of its calls growing the step."""
+    """(|omega_d|^2 as a function of s, and at s = 1 from the last step) of
+    one DOP853 solve of d ln(I_d/I_d(0))/ds = -L alpha_d.  ln I_d is
+    clamped at 0 wherever it is read: the drive only decays, and a trial
+    stage above 0 would overflow exp at large kappa L.  The first trial
+    step is the depth over which the entry drive would fall by 1/e, at most
+    the cell: from ln I_d = 0 the solver's own guess starts about 1e-6
+    deep and spends most of its calls growing the step."""
     def od2(y):
         return od2_entry * np.exp(np.minimum(y, 0.0))
 
-    depth = alphas(od2_entry, _NO_GRID)[2]
     sol = solve_ivp(lambda _s, y: [-alphas(od2(y[0]), _NO_GRID)[2]],
                     (0.0, 1.0), [0.0], method="DOP853", rtol=_DRIVE_RTOL,
                     atol=_DRIVE_ATOL, dense_output=True,
-                    first_step=1.0 / max(depth, 1.0))
+                    first_step=1.0 / max(alphas(od2_entry, _NO_GRID)[2], 1.0))
     if not sol.success:
         raise RuntimeError(f"drive depletion solve failed: {sol.message}")
-    return lambda s: od2(sol.sol(s)[0])
+    return lambda s: od2(sol.sol(s)[0]), od2(sol.y[0, -1])
 
 
 def _kernel(rates: Rates, big_delta: float, medium: Medium,
@@ -203,7 +203,7 @@ def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
         tau, tau_b, _ = alphas(od2_entry, delta_grid)  # z-independent
         return tau, tau_b, gain(tau), 0.0
 
-    drive = _drive_od2(alphas, od2_entry)
+    drive, od2_exit = _drive_od2(alphas, od2_entry)
     def integrate(n, grid):
         s, weights = _gauss_legendre(n)
         tau = np.zeros(grid.size + 1)  # the baseline last
@@ -216,8 +216,8 @@ def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
 
     subgrid = delta_grid
     if delta_grid.size > 65:  # the line is where alpha depends most on z
-        lines = ac_stark_shift(fields.big_delta, np.sqrt(drive([0.0, 1.0])),
-                               rates.gamma)
+        lines = ac_stark_shift(fields.big_delta,
+                               np.sqrt([od2_entry, od2_exit]), rates.gamma)
         picks = np.append(np.rint(np.linspace(0, delta_grid.size - 1, 65)),
                           np.abs(delta_grid - lines[:, None]).argmin(axis=1))
         subgrid = delta_grid[np.unique(picks).astype(int)]
@@ -243,16 +243,16 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
     over the n Gauss-Legendre nodes s_k of the scaled depth s = z/L.  The
     drive intensity I_d(s) comes from one DOP853 solve of its depletion
     equation per call (rtol 1e-10, atol 1e-13 on ln I_d, each right-hand
-    side one kernel call on an empty grid).  The orders n = 4, 6, 8, 12,
-    16, 24, 32, 48, 64 below slabs.slab_count, then slab_count, are tried
-    in turn on a subgrid (above 65 points, rint(linspace(0, size - 1, 65))
-    and the points nearest the ac-Stark-shifted line at the entry and exit
-    drive); the first n whose tau there and for the baseline moves by at
-    most 1e-8 against the previous order (or the cap) is accepted, and the
-    full grid evaluated once at n.  That move, `z_error` in optical depth,
-    estimates the accepted order's error without bounding it (on the
-    presets: error <= 1.2e-11, z_error >= 0.29 of it).  Where the drive
-    cannot change (kappa = 0 or omega_d = 0) one call gives tau; z_error 0.
+    side one kernel call on an empty grid).  The orders n = 2, 3, 4, 5, 6,
+    8, 10, 12, 16, ..., 64 (`_ladder`) below slabs.slab_count, then
+    slab_count, are tried in turn on a subgrid (above 65 points, rint(
+    linspace(0, size - 1, 65)) and the points nearest the ac-Stark-shifted
+    line at the entry and exit drive); the first n whose tau there and for
+    the baseline moves by at most 1e-8 against the previous order (or the
+    cap) is accepted, and the full grid evaluated once at n.  That move,
+    `z_error`, estimates the error without bounding it (presets: error <=
+    6.5e-11 against GL-64, z_error >= 0.74 of it).  Where the drive cannot
+    change (kappa = 0 or omega_d = 0) one call gives tau; z_error 0.
 
     fields_at_entry.small_delta is ignored; the grid supplies the
     two-photon detuning.  The returned spectrum carries the coherence-free

@@ -16,7 +16,7 @@ resonance stay resolved.
 
 Propagation settings are not configurable: every point runs the exact
 Doppler average and `transmit`'s Gauss-Legendre z rule at its default
-ladder (orders 4 to 64, accepted at a 1e-8 change in optical depth).
+ladder (orders 2 to 64, accepted at a 1e-8 change in optical depth).
 
 Outputs are byte-deterministic for identical configs.  A scan refuses to
 write into a directory holding results from a different config (manifest

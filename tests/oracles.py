@@ -12,7 +12,8 @@ slab march, Richardson-extrapolated over 2048 and 4096 slabs; it takes
 the package's absorption kernel as a callable, so only its z rule is
 independent.  The z rule's choice of order has its own oracle: the
 Gauss-Legendre ladder climbed on the whole grid, on the package's kernel
-and drive solve.  The velocity average is a dense truncated trapezoid
+and drive solve, and its accuracy the plain whole-grid Gauss-Legendre sum
+of high order.  The velocity average is a dense truncated trapezoid
 sum, the divided difference of two averages an mpmath evaluation of the
 Faddeeva function, and fit refinement a local grid search.  The
 strong-drive susceptibility is the weak-probe response
@@ -176,29 +177,40 @@ def slab_march_richardson(alphas, od2_entry, grid):
     return (4.0 * t2 - t1) / 3.0, (4.0 * b2 - b1) / 3.0
 
 
+def gauss_legendre_tau(alphas, drive, grid, n):
+    """The plain n-point Gauss-Legendre sum over s in [0, 1], on the whole
+    grid: (tau on grid, baseline tau, least probe alpha over the nodes).
+    alphas is as in `slab_march`; drive(s) gives |omega_d|^2 at the
+    depths s."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    tau = np.zeros(len(grid) + 1)  # the baseline last
+    least = np.full(len(grid), np.inf)
+    for w_k, od2 in zip(0.5 * w, drive(0.5 * (x + 1.0))):
+        alpha, alpha_b, _ = alphas(od2, grid)
+        tau += w_k * np.append(alpha, alpha_b)
+        least = np.fmin(least, alpha)
+    return tau[:-1], tau[-1], least
+
+
 def full_grid_ladder(alphas, drive, grid, cap):
-    """The Gauss-Legendre z rule climbed on the whole grid: the orders 4, 6,
-    8, 12, 16, 24, 32, 48, 64 below cap, then cap, in turn, until tau on
-    grid and the baseline tau move by at most 1e-8 against the previous
-    order.  alphas is as in `slab_march`; drive(s) gives |omega_d|^2 at the
-    depths s.  Returns (tau on grid, baseline tau, least probe alpha over
-    the accepted order's nodes, z_error)."""
-    orders = [n for n in (4, 6, 8, 12, 16, 24, 32, 48, 64) if n < cap] + [cap]
+    """The Gauss-Legendre z rule climbed on the whole grid: the orders 2, 3,
+    4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48, 64 below cap, then cap, in
+    turn, until tau on grid and the baseline tau move by at most 1e-8
+    against the previous order, each order's sum `gauss_legendre_tau`.
+    Returns (tau on grid, baseline tau, least probe alpha over the accepted
+    order's nodes, z_error, the accepted order)."""
+    orders = [n for n in (2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48,
+                          64) if n < cap] + [cap]
     previous = None
     for n in orders:
-        x, w = np.polynomial.legendre.leggauss(n)
-        tau = np.zeros(len(grid) + 1)  # the baseline last
-        least = np.full(len(grid), np.inf)
-        for w_k, od2 in zip(0.5 * w, drive(0.5 * (x + 1.0))):
-            alpha, alpha_b, _ = alphas(od2, grid)
-            tau += w_k * np.append(alpha, alpha_b)
-            least = np.fmin(least, alpha)
+        tau, tau_b, least = gauss_legendre_tau(alphas, drive, grid, n)
+        tau = np.append(tau, tau_b)
         if previous is not None:
             z_error = np.max(np.abs(tau - previous))
             if z_error <= 1e-8:
                 break
         previous = tau
-    return tau[:-1], tau[-1], least, z_error
+    return tau[:-1], tau[-1], least, z_error, n
 
 
 def lineshape(delta, a, b, c, gt, d0):
