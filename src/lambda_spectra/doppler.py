@@ -146,6 +146,17 @@ def maxwell_mean_inverse(p, big_delta: float, ku: float):
     return np.where(upper, m, m.conj())
 
 
+def _mean_lorentzian(s, big_delta: float, ku: float):
+    """(M(-is), <1/(x^2 + s^2)> = Re(i M(-is))/s) over x = big_delta - kv,
+    elementwise over s > 0, with M = `maxwell_mean_inverse`.  The pole -is
+    lies below the real axis, so no branch is taken: a numpy scalar s costs
+    one wofz call and no array.  s leads the product so that its type
+    decides: numpy scalars round as the array loops do, Python complex
+    division otherwise."""
+    m = wofz((big_delta - s * -1j) / ku) * (-1j * _SQRT_PI / ku)
+    return m, (1j * m).real / s
+
+
 def maxwell_mean_slope(p1, p2, m1, m2, big_delta: float, ku: float):
     """Divided difference (m1 - m2) / (p1 - p2) of M = `maxwell_mean_inverse`,
     given m1 = M(p1) and m2 = M(p2); elementwise over the array p1 (and

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .doppler import maxwell_mean_inverse, maxwell_mean_slope
+from .doppler import (_mean_lorentzian, maxwell_mean_inverse,
+                      maxwell_mean_slope)
 from .errors import DegenerateRates, NonPhysicalValue, SingularSystem
 
 __all__ = ["Rates", "Fields", "Medium", "steady_state", "equation_residual",
@@ -269,13 +270,20 @@ def susceptibility_numeric(rates: Rates, fields: Fields,
     return complex(medium.kappa(rates.gamma_r) * rho[0, 1] / fields.omega_p)
 
 
-def maxwell_absorption(rates: Rates, od2: float, big_delta: float, ku: float,
+def maxwell_absorption(rates: Rates, od2, big_delta: float, ku: float,
                        delta_grid, kappa):
     """Exact Maxwell averages of the weak-probe absorption coefficients:
     (probe alpha on delta_grid, plateau, alpha_d) at the drive
     od2 = |omega_d|^2 and one-photon detuning big_delta; ku > 0.  The
     plateau is the |delta| -> infinity limit of the probe coefficient and
     alpha_d the drive's two-level coefficient, all proportional to kappa.
+    od2 is a float, which returns (probe (m,), plateau, alpha_d) on an
+    m-point grid, or an array of n z nodes, which returns (probe (n, m),
+    plateau (n,), alpha_d (n,)); row i is bitwise the call at od2[i] while
+    n m stays within 8192 (the z rule's budget: from 16384 complex
+    elements numpy's temporary elision rounds some entries otherwise).
+    `_drive_rate` gives alpha_d alone at a float od2 in numpy scalars,
+    bitwise the same.
 
     With q = gamma^2 + x^2, c = gamma_r/gamma_bc, a = 3 + c and
     s^2 = gamma^2 + a gamma od2/(2 gamma_r), the drive-only populations of
@@ -323,37 +331,57 @@ def maxwell_absorption(rates: Rates, od2: float, big_delta: float, ku: float,
     width, since gamma >= gamma_r.
     """
     g, gr, gbc = rates.gamma, rates.gamma_r, rates.gamma_bc
-    if od2 == 0.0 and gbc <= 0.0:
-        raise DegenerateRates("no drive and no ground-state relaxation")
-    if kappa == 0.0:
-        return np.zeros(delta_grid.shape), 0.0, 0.0
+    nodes = np.shape(od2)  # () for a float
+    col = np.reshape(od2, (-1, 1)) if nodes else od2  # a row per z node
+    drive, terms = _drive_rate(rates, col, big_delta, ku, kappa)
 
     def mean(p):
         return maxwell_mean_inverse(p, big_delta, ku)
 
+    def rows(probe, plateau):  # an array's (n, 1) columns as (n,)
+        if nodes:
+            return probe, plateau[:, 0], drive[:, 0]
+        return probe, plateau, drive
+
+    if kappa == 0.0:
+        return rows(np.zeros(nodes + delta_grid.shape), drive)
     gcb = gbc - 1j * delta_grid
-    if gbc == 0.0:
+    # G, with gamma a numpy scalar so that M(-i gamma) is one wofz call
+    two_level = (1j * _mean_lorentzian(np.float64(g), big_delta, ku)[0]).real
+    if terms is None:  # gamma_bc = 0
         dark = delta_grid == 0.0
-        x0 = -delta_grid - 1j * (g + od2 / np.where(dark, 1.0, gcb))
+        x0 = -delta_grid - 1j * (g + col / np.where(dark, 1.0, gcb))
         probe = np.where(dark, 0.0, (1j * mean(x0)).real)
-        return kappa * probe, kappa * (1j * mean(-1j * g)).real, 0.0
+        # shaped as col; [()] makes a 0-d array a scalar
+        return rows(kappa * probe,
+                    np.full(np.shape(col), kappa * two_level)[()])
 
     c = gr / gbc
-    a = 3.0 + c
-    s = np.sqrt(g * g + a * g * od2 / (2.0 * gr))
-    m_g, m_s = mean([-1j * g, -1j * s])
-    two_level = (1j * m_g).real  # G
-    v = (1j * m_s).real / s  # V
-    k = (0.5 * c - 1.5 + gr / g) / a
+    s, m_s, v = terms
+    k = (0.5 * c - 1.5 + gr / g) / (3.0 + c)
     plateau = kappa * (0.5 * two_level + k * (two_level - g * v))
-    drive = kappa * 0.5 * g * v
-    if not delta_grid.size:  # a drive-only step of the depletion solve
-        return np.zeros(0), plateau, drive
+    if not delta_grid.size:  # a drive-only call
+        return rows(np.zeros(nodes + (0,)), plateau)
 
-    x0 = -delta_grid - 1j * (g + od2 / gcb)
+    x0 = -delta_grid - 1j * (g + col / gcb)
     m0 = mean(x0)
     slope = maxwell_mean_slope(x0, -1j * s, m0, m_s, big_delta, ku)
-    r = od2 * (gcb * ((c - 3.0) * g / (4.0 * gr)) - 0.5 * g + 0.5j * x0)
+    r = col * (gcb * ((c - 3.0) * g / (4.0 * gr)) - 0.5 * g + 0.5j * x0)
     probe = 0.5j * m0 + (1j / gcb) * (r * (slope - v) / (x0 - 1j * s)
-                                      + 0.5j * od2 * v)
-    return kappa * probe.real, plateau, drive
+                                      + 0.5j * col * v)
+    return rows(kappa * probe.real, plateau)
+
+
+def _drive_rate(rates: Rates, od2, big_delta: float, ku: float, kappa):
+    """alpha_d of `maxwell_absorption` at the drive od2, elementwise, and the
+    (s, M(-is), V) its probe reuses, None where kappa = 0 or gamma_bc = 0
+    (alpha_d 0).  A numpy scalar od2 stays in numpy scalars: one step of
+    the drive's depletion solve costs one wofz call."""
+    g, gr, gbc = rates.gamma, rates.gamma_r, rates.gamma_bc
+    if gbc <= 0.0 and np.any(od2 == 0.0):
+        raise DegenerateRates("no drive and no ground-state relaxation")
+    if kappa == 0.0 or gbc == 0.0:
+        return 0.0 * od2, None
+    s = np.sqrt(g * g + (3.0 + gr / gbc) * g * od2 / (2.0 * gr))
+    m_s, v = _mean_lorentzian(s, big_delta, ku)
+    return kappa * 0.5 * g * v, (s, m_s, v)

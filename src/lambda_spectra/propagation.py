@@ -28,8 +28,9 @@ trajectory.
 One kernel gives all three coefficients (probe, plateau, alpha_d).  Under
 the default exact scheme the integrands are rational in x = Delta - kv,
 and `model.maxwell_absorption` sums their residues times the Faddeeva
-function (pole sets and error bound in its docstring); a call costs one
-wofz call per grid point.  A node scheme (Gauss-Hermite, trapezoid)
+function (pole sets and error bound in its docstring); a call takes
+an array of z nodes and costs one wofz call per node and grid point.
+A node scheme (Gauss-Hermite, trapezoid)
 averages the same integrands over velocity nodes instead, as the
 independent cross-check.  At ku <= 1e-8 gamma every scheme evaluates
 them at x = Delta: every pole lies at least gamma off the real axis, so
@@ -54,8 +55,9 @@ from scipy.integrate import solve_ivp
 from .analytic import ac_stark_shift
 from .doppler import QuadratureSpec, velocity_nodes
 from .errors import ZeroBackground
-from .model import (Fields, Medium, Rates, drive_only_populations,
-                    maxwell_absorption, weak_probe_susceptibility)
+from .model import (Fields, Medium, Rates, _drive_rate,
+                    drive_only_populations, maxwell_absorption,
+                    weak_probe_susceptibility)
 
 __all__ = ["SlabConfig", "Spectrum", "transmit", "normalize",
            "reference_transmission"]
@@ -66,6 +68,7 @@ _DRIVE_RTOL, _DRIVE_ATOL = 1e-10, 1e-13  # of ln(I_d/I_d(0)), DOP853
 _KU_NONE = 1e-8  # of gamma: a Doppler width at or below it is none
 _EXACT = QuadratureSpec("exact")
 _NO_GRID = np.zeros(0)
+_CALL_ELEMENTS = 8192  # nodes x grid points per kernel call (see transmit)
 
 
 @dataclass(frozen=True)
@@ -119,23 +122,33 @@ class Spectrum:
             raise ValueError("transmission contains non-finite values")
 
 
-def _node_alphas(rates: Rates, od2: float, w, deff, delta_grid, kappa):
+def _node_alphas(rates: Rates, od2, w, deff, delta_grid, kappa):
     """(probe alpha on delta_grid, plateau, alpha_d) averaged over the
     velocity nodes (w, deff = Delta - kv) at the drive od2 = |omega_d|^2,
-    each proportional to kappa, as in `maxwell_absorption`.  kappa = 0
-    absorbs nothing; at gamma = 0, which it implies, the nodes' Lorentzians
-    would be 0/0 at deff = 0."""
+    each proportional to kappa, with the shapes and rows of
+    `maxwell_absorption`.  kappa = 0 absorbs nothing; at gamma = 0, which
+    it implies, the nodes' Lorentzians would be 0/0 at deff = 0."""
+    nodes = np.shape(od2)  # () for a float
     if kappa == 0.0:
-        return np.zeros(delta_grid.shape), 0.0, 0.0
+        zero = np.zeros(nodes)[()]  # [()] makes a 0-d array a scalar
+        return np.zeros(nodes + delta_grid.shape), zero, zero
     g = rates.gamma
-    pb, pc = drive_only_populations(rates, np.sqrt(od2), deff)
+    col = np.reshape(od2, (-1, 1)) if nodes else od2  # a row per z node
+    pb, pc = drive_only_populations(rates, np.sqrt(col), deff)
     g2d2 = g * g + deff * deff
-    plateau = kappa * float(np.dot(w, (g * pb + g * od2 / g2d2 * pc) / g2d2))
-    drive = kappa * g * float(np.dot(w, pc / g2d2))
+
+    def average(values):
+        # one dot per z node, as for a float: a matrix product may sum in
+        # another order
+        return (np.array([np.dot(w, row) for row in values]) if nodes
+                else np.dot(w, values))
+
     chi = weak_probe_susceptibility(
-        g, rates.gamma_bc, od2, deff[:, None], delta_grid[None, :],
-        pb[:, None], pc[:, None], kappa)
-    return w @ chi.imag, plateau, drive
+        g, rates.gamma_bc, col[..., None] if nodes else col, deff[:, None],
+        delta_grid, pb[..., None], pc[..., None], kappa)
+    return (w @ chi.imag,
+            kappa * average((g * pb + g * col / g2d2 * pc) / g2d2),
+            kappa * g * average(pc / g2d2))
 
 
 def _ladder(cap: int) -> list:
@@ -151,21 +164,22 @@ def _gauss_legendre(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _drive_od2(alphas, od2_entry: float):
+def _drive_od2(rate, od2_entry: float):
     """(|omega_d|^2 as a function of s, and at s = 1 from the last step) of
-    one DOP853 solve of d ln(I_d/I_d(0))/ds = -L alpha_d.  ln I_d is
-    clamped at 0 wherever it is read: the drive only decays, and a trial
-    stage above 0 would overflow exp at large kappa L.  The first trial
-    step is the depth over which the entry drive would fall by 1/e, at most
-    the cell: from ln I_d = 0 the solver's own guess starts about 1e-6
-    deep and spends most of its calls growing the step."""
+    one DOP853 solve of d ln(I_d/I_d(0))/ds = -L alpha_d, with
+    rate(od2) -> L alpha_d.  ln I_d is clamped at 0 wherever it is read:
+    the drive only decays, and a trial stage above 0 would overflow exp at
+    large kappa L.  The first trial step is the depth over which the entry
+    drive would fall by 1/e, at most the cell: from ln I_d = 0 the
+    solver's own guess starts about 1e-6 deep and spends most of its calls
+    growing the step."""
     def od2(y):
         return od2_entry * np.exp(np.minimum(y, 0.0))
 
-    sol = solve_ivp(lambda _s, y: [-alphas(od2(y[0]), _NO_GRID)[2]],
+    sol = solve_ivp(lambda _s, y: [-rate(od2(y[0]))],
                     (0.0, 1.0), [0.0], method="DOP853", rtol=_DRIVE_RTOL,
                     atol=_DRIVE_ATOL, dense_output=True,
-                    first_step=1.0 / max(alphas(od2_entry, _NO_GRID)[2], 1.0))
+                    first_step=1.0 / max(rate(od2_entry), 1.0))
     if not sol.success:
         raise RuntimeError(f"drive depletion solve failed: {sol.message}")
     return lambda s: od2(sol.sol(s)[0]), od2(sol.y[0, -1])
@@ -173,18 +187,25 @@ def _drive_od2(alphas, od2_entry: float):
 
 def _kernel(rates: Rates, big_delta: float, medium: Medium,
             quad: QuadratureSpec):
-    """alphas(od2, grid) -> (probe alpha on grid, plateau, alpha_d) per
-    unit s at the drive od2 = |omega_d|^2: the Faddeeva kernel for the
-    exact scheme, `_node_alphas` over `velocity_nodes(quad, ku)` otherwise
-    and wherever ku <= 1e-8 gamma, which counts as ku = 0."""
+    """(alphas, rate) per unit s: alphas(od2, grid) -> (probe alpha on
+    grid, plateau, alpha_d) at the drive od2 = |omega_d|^2, a float or an
+    array of z nodes, and rate(od2) -> alpha_d at a float od2, the drive
+    solve's right-hand side.  The Faddeeva kernel for the exact scheme,
+    whose rate is `model._drive_rate` in numpy scalars; `_node_alphas`
+    over `velocity_nodes(quad, ku)` otherwise and wherever
+    ku <= 1e-8 gamma, which counts as ku = 0."""
     kappa_l = medium.kappa_L(rates.gamma_r)
     ku = medium.ku if medium.ku > _KU_NONE * rates.gamma else 0.0
     if quad.scheme == "exact" and ku > 0.0:
-        return lambda od2, grid: maxwell_absorption(rates, od2, big_delta,
-                                                    ku, grid, kappa_l)
+        return (lambda od2, grid: maxwell_absorption(rates, od2, big_delta,
+                                                     ku, grid, kappa_l),
+                lambda od2: _drive_rate(rates, od2, big_delta, ku,
+                                        kappa_l)[0])
     w, kv = velocity_nodes(quad, ku)
-    return lambda od2, grid: _node_alphas(rates, od2, w, big_delta - kv,
-                                          grid, kappa_l)
+
+    def alphas(od2, grid):
+        return _node_alphas(rates, od2, w, big_delta - kv, grid, kappa_l)
+    return alphas, lambda od2: alphas(od2, _NO_GRID)[2]
 
 
 def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
@@ -193,7 +214,7 @@ def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
     that `transmit` describes; every coefficient is per unit s, so the cell
     enters only through kappa L."""
     kappa_l = medium.kappa_L(rates.gamma_r)
-    alphas = _kernel(rates, fields.big_delta, medium, quad)
+    alphas, rate = _kernel(rates, fields.big_delta, medium, quad)
 
     def gain(alpha):
         return alpha < -_GAIN_TOL * kappa_l
@@ -203,15 +224,20 @@ def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
         tau, tau_b, _ = alphas(od2_entry, delta_grid)  # z-independent
         return tau, tau_b, gain(tau), 0.0
 
-    drive, od2_exit = _drive_od2(alphas, od2_entry)
+    drive, od2_exit = _drive_od2(rate, od2_entry)
     def integrate(n, grid):
         s, weights = _gauss_legendre(n)
+        od2 = drive(s)
+        per_call = max(1, _CALL_ELEMENTS // max(grid.size, 1))
         tau = np.zeros(grid.size + 1)  # the baseline last
         flags = np.zeros(grid.size, dtype=bool)
-        for w_k, od2 in zip(weights, drive(s)):
-            alpha, alpha_b, _ = alphas(od2, grid)
-            tau += w_k * np.append(alpha, alpha_b)
-            flags |= gain(alpha)
+        for i in range(0, n, per_call):
+            alpha, alpha_b, _ = alphas(od2[i:i + per_call], grid)
+            flags |= gain(alpha).any(axis=0)
+            # node by node, in order: a row sum would round otherwise
+            for term in (weights[i:i + per_call, None]
+                         * np.column_stack((alpha, alpha_b))):
+                tau += term
         return tau, flags
 
     subgrid = delta_grid
@@ -229,6 +255,12 @@ def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
             if z_error <= _Z_TOL:
                 break
         previous = tau
+    else:
+        import logging  # loaded with scipy; only a rule at its cap logs
+        logging.getLogger(__name__).warning(
+            "z rule at its cap GL-%d with z_error %.3g > %g in optical "
+            "depth (Delta = %.6g rad/s)", n, z_error, _Z_TOL,
+            fields.big_delta)
     if subgrid is not delta_grid:
         tau, flags = integrate(n, delta_grid)
     return tau[:-1], tau[-1], flags, z_error
@@ -243,7 +275,7 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
     over the n Gauss-Legendre nodes s_k of the scaled depth s = z/L.  The
     drive intensity I_d(s) comes from one DOP853 solve of its depletion
     equation per call (rtol 1e-10, atol 1e-13 on ln I_d, each right-hand
-    side one kernel call on an empty grid).  The orders n = 2, 3, 4, 5, 6,
+    side the kernel's scalar drive rate).  The orders n = 2, 3, 4, 5, 6,
     8, 10, 12, 16, ..., 64 (`_ladder`) below slabs.slab_count, then
     slab_count, are tried in turn on a subgrid (above 65 points, rint(
     linspace(0, size - 1, 65)) and the points nearest the ac-Stark-shifted
@@ -251,8 +283,18 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
     the baseline moves by at most 1e-8 against the previous order (or the
     cap) is accepted, and the full grid evaluated once at n.  That move,
     `z_error`, estimates the error without bounding it (presets: error <=
-    6.5e-11 against GL-64, z_error >= 0.74 of it).  Where the drive cannot
-    change (kappa = 0 or omega_d = 0) one call gives tau; z_error 0.
+    6.5e-11 against GL-64, z_error >= 0.74 of it).  Stopping at the cap
+    with z_error above 1e-8 logs a warning.  Where the drive cannot change
+    (kappa = 0 or omega_d = 0) one call gives tau; z_error 0.
+
+    Each kernel call takes as many of an order's nodes as fit in 8192
+    nodes x grid points: the subgrid's whole order, up to 10 nodes of an
+    801-point grid, 2 of a 3201-point one.  Most of a call's cost is fixed
+    (about 45 us), but larger temporaries (above 128 KiB complex) page-
+    fault, and from 16384 elements numpy's temporary elision rounds
+    differently.  Within the budget each node's row is bitwise the
+    single-node call's, and tau adds the rows node by node in order, so T
+    does not depend on how the nodes are split.
 
     fields_at_entry.small_delta is ignored; the grid supplies the
     two-photon detuning.  The returned spectrum carries the coherence-free

@@ -516,24 +516,34 @@ class TestZRule:
         assert propagation._ladder(20) == [2, 3, 4, 5, 6, 8, 10, 12, 16, 20]
         assert propagation._ladder(18) == [2, 3, 4, 5, 6, 8, 10, 12, 16, 18]
 
-    # the first two ids count the probe calls of the older ladder
+    # (z nodes, grid points) per probe call: one call per order while
+    # nodes x points stay within 8192, else as many nodes per call as fit.
+    # The first two ids count the probe calls of the older ladder
     # (4, 6, 8, 12, ...): 10 and 46
     @pytest.mark.parametrize("density, cap, points, calls", [
-        pytest.param(1.0, 64, 5, [5] * (2 + 3 + 4), id="1.0-64-10"),
-        pytest.param(10.0, 16, 5, [5] * 66, id="10.0-16-46"),
-        pytest.param(1.0, 64, 65, [65] * (2 + 3 + 4 + 5), id="65-points"),
-        pytest.param(1.0, 64, 66, [65] * (2 + 3 + 4 + 5) + [66] * 5,
-                     id="66-points"),
-        pytest.param(1.0, 64, 801, [65] * (2 + 3 + 4 + 5) + [801] * 5,
-                     id="801-points")])
-    def test_ladder_stops_at_tolerance_or_cap(self, monkeypatch, density,
-                                               cap, points, calls):
+        pytest.param(1.0, 64, 5, [(n, 5) for n in (2, 3, 4)],
+                     id="1.0-64-10"),
+        pytest.param(10.0, 16, 5, [(n, 5) for n in (2, 3, 4, 5, 6, 8, 10,
+                                                     12, 16)],
+                     id="10.0-16-46"),
+        pytest.param(1.0, 64, 65, [(n, 65) for n in (2, 3, 4, 5)],
+                     id="65-points"),
+        pytest.param(1.0, 64, 66, [(n, 65) for n in (2, 3, 4, 5)]
+                     + [(5, 66)], id="66-points"),
+        pytest.param(1.0, 64, 801, [(n, 65) for n in (2, 3, 4, 5)]
+                     + [(5, 801)], id="801-points"),
+        pytest.param(1.0, 64, 1639, [(n, 65) for n in (2, 3, 4, 5)]
+                     + [(4, 1639), (1, 1639)], id="1639-points")])
+    def test_ladder_stops_at_tolerance_or_cap(self, monkeypatch, caplog,
+                                               density, cap, points, calls):
         # ne_30torr is accepted at GL-4 on 5 points and at GL-5 on 65;
         # vacuum at 10x density does not meet 1e-8 below GL-16, so a cap of
-        # 16 returns GL-16 after 2 + 3 + 4 + 5 + 6 + 8 + 10 + 12 + 16 probe
-        # calls.  A grid above 65 points climbs on 65 of them (at Delta = 0
+        # 16 returns GL-16 after the orders 2, 3, 4, 5, 6, 8, 10, 12 and
+        # 16.  A grid above 65 points climbs on 65 of them (at Delta = 0
         # the point nearest the line is one of the spread points), then
-        # runs the accepted order once on itself.
+        # runs the accepted order once on itself: 1639 points take 4 nodes
+        # per call.  The drive solve calls no probe kernel.  Stopping at
+        # the cap short of 1e-8 logs one warning.
         values = dict(preset_config("vacuum" if density > 1 else
                                     "ne_30torr").values)
         values["medium", "density_cm3"] *= density
@@ -541,8 +551,7 @@ class TestZRule:
         probe_calls = []
 
         def counted(rates, od2, dl, ku, grid, kappa):
-            if grid.size:
-                probe_calls.append(grid.size)
+            probe_calls.append((np.size(od2), grid.size))
             return maxwell_absorption(rates, od2, dl, ku, grid, kappa)
 
         monkeypatch.setattr(propagation, "maxwell_absorption", counted)
@@ -551,6 +560,10 @@ class TestZRule:
                         slabs=SlabConfig(cap))
         assert probe_calls == calls
         assert (spec.z_error <= 1e-8) == (density == 1.0)
+        warned = [r for r in caplog.records
+                  if r.name == "lambda_spectra.propagation"]
+        assert [r.levelname for r in warned] == ["WARNING"] * (density > 1)
+        assert all(f"GL-{cap} " in r.getMessage() for r in warned)
 
 
 def full_grid_spectrum(rates, fields, medium, grid):
@@ -559,14 +572,14 @@ def full_grid_spectrum(rates, fields, medium, grid):
     kernel and drive solve, or one kernel call (order 1) where the drive
     cannot change."""
     kappa_l = medium.kappa_L(rates.gamma_r)
-    alphas = propagation._kernel(rates, fields.big_delta, medium, EXACT)
+    alphas, rate = propagation._kernel(rates, fields.big_delta, medium, EXACT)
     od2 = fields.omega_d ** 2
     if kappa_l == 0.0 or od2 == 0.0:
         tau, tau_b, _ = alphas(od2, grid)
         least, n = tau, 1
     else:
         tau, tau_b, least, _, n = full_grid_ladder(
-            alphas, propagation._drive_od2(alphas, od2)[0], grid, 64)
+            alphas, propagation._drive_od2(rate, od2)[0], grid, 64)
     return tau, tau_b, least < -1e-6 * kappa_l, n
 
 
@@ -595,19 +608,20 @@ class TestSubgridOrder:
     @staticmethod
     def difference(rates, fields, medium, grid):
         """(max |T - T_ladder| and |baseline - baseline_ladder|, the same in
-        tau, z_error, whether transmit's order, its kernel calls on the
-        whole grid, is the ladder's), after asserting equal gain flags;
-        no move where both raise one package error."""
-        sizes = []
+        tau, z_error, whether transmit's order, the z nodes its kernel
+        calls take on the whole grid, is the ladder's), after asserting
+        equal gain flags; no move where both raise one package error."""
+        nodes = []
         kernel = propagation._kernel
 
         def counted(*args):
-            alphas = kernel(*args)
+            alphas, rate = kernel(*args)
 
             def alphas_counted(od2, g):
-                sizes.append(g.size)
+                if g.size == grid.size:
+                    nodes.append(np.size(od2))
                 return alphas(od2, g)
-            return alphas_counted
+            return alphas_counted, rate
 
         try:
             with pytest.MonkeyPatch.context() as patch:
@@ -626,7 +640,7 @@ class TestSubgridOrder:
                       abs(np.exp(-tau_b) - np.exp(-want_b)))
         moved_tau = max(np.max(np.abs(tau - want), initial=0.0),
                         abs(tau_b - want_b))
-        return moved_t, moved_tau, z_error, sizes.count(grid.size) == n
+        return moved_t, moved_tau, z_error, sum(nodes) == n
 
     def bitwise_or_within_z_error(self, rates, fields, medium, grid):
         moved_t, moved_tau, z_error, same_order = self.difference(
@@ -708,6 +722,117 @@ class TestSubgridOrder:
             assert error <= self.NOT_BITWISE[key], (key, error)
 
 
+class TestNodeBatches:
+    """A kernel call on an array of z nodes returns, row by row, bitwise
+    what one call per node returns, in batches as large as the z rule makes
+    them (8192 // grid points, at most 64 nodes); and the drive solve's
+    scalar rate is bitwise the kernel's alpha_d."""
+
+    @staticmethod
+    def assert_rows(alphas, od2s, grid):
+        probe, plateau, drive = alphas(od2s, grid)
+        assert probe.shape == (od2s.size, grid.size)
+        assert plateau.shape == drive.shape == od2s.shape
+        for i, od2 in enumerate(od2s):
+            one = alphas(float(od2), grid)
+            assert one[0].shape == grid.shape and np.ndim(one[1]) == 0
+            assert np.array_equal(one[0], probe[i])
+            assert one[1] == plateau[i] and one[2] == drive[i]
+
+    @staticmethod
+    def batch(rate, od2, grid):
+        """The drive at the Gauss-Legendre nodes of one z-rule call."""
+        n = min(propagation._CALL_ELEMENTS // max(grid.size, 1), 64)
+        return propagation._drive_od2(rate, od2)[0](
+            propagation._gauss_legendre(n)[0])
+
+    @staticmethod
+    def preset_points():
+        for preset in ("ne_30torr", "vacuum", "kr_0.12torr", "ne_100torr"):
+            cfg = preset_config(preset)
+            rates, med = cfg.rates(), cfg.medium()
+            for dl in cfg.sweep_deltas():
+                yield rates, cfg.fields(float(dl)), med, cfg
+
+    def test_every_preset_point(self):
+        # the point's auto grid and its first 65 points, the subgrid's size
+        for rates, f, med, cfg in self.preset_points():
+            alphas, rate = propagation._kernel(rates, f.big_delta, med, EXACT)
+            grid = auto_delta_grid(rates, f, med,
+                                   cfg.get("delta_grid", "points"))
+            for g in (grid, grid[:65]):
+                self.assert_rows(alphas, self.batch(rate, f.omega_d**2, g), g)
+
+    @pytest.mark.parametrize("case", ["gamma_bc=0", "od2=0", "kappa=0",
+                                      "empty grid"])
+    def test_edge_rates(self, case):
+        cfg = preset_config("vacuum")
+        rates, f, ku = cfg.rates(), cfg.fields(mhz(200)), cfg.medium().ku
+        od2s = f.omega_d**2 * np.array([1.0, 0.3, 1e-3])
+        grid = np.array([-khz(300), 0.0, khz(10), mhz(2)])
+        kappa = 1.0
+        if case == "gamma_bc=0":
+            rates = replace(rates, gamma_bc=0.0)
+        elif case == "od2=0":
+            od2s[-1] = 0.0
+        elif case == "kappa=0":
+            kappa = 0.0
+        else:
+            grid = np.zeros(0)
+        self.assert_rows(lambda od2, g: maxwell_absorption(
+            rates, od2, f.big_delta, ku, g, kappa), od2s, grid)
+
+    @pytest.mark.parametrize("quad", [QuadratureSpec("gauss_hermite"),
+                                      QuadratureSpec("trapezoid"), None],
+                             ids=["GH-64", "trapezoid", "ku=0"])
+    def test_node_schemes(self, quad):
+        cfg = preset_config("ne_30torr")
+        rates, med = cfg.rates(), cfg.medium()
+        if quad is None:  # the single node (1, 0)
+            quad, med = EXACT, replace(med, ku=0.0)
+        f = cfg.fields(float(cfg.sweep_deltas()[4]))
+        alphas, rate = propagation._kernel(rates, f.big_delta, med, quad)
+        d0 = ac_stark_shift(f.big_delta, f.omega_d, rates.gamma)
+        for grid in (d0 + np.linspace(-khz(20), khz(20), 21), np.zeros(0)):
+            self.assert_rows(alphas, self.batch(rate, f.omega_d**2, grid),
+                             grid)
+
+    @staticmethod
+    def assert_rate_is_alpha_d(rates, fields, medium):
+        """Every drive the depletion solve visits: the rate is bitwise the
+        kernel's alpha_d, or both raise one package error."""
+        alphas, rate = propagation._kernel(rates, fields.big_delta, medium,
+                                           EXACT)
+        seen = []
+
+        def recorded(od2):
+            seen.append(od2)
+            return rate(od2)
+        try:
+            propagation._drive_od2(recorded, fields.omega_d ** 2)
+        except (LambdaSpectraError, RuntimeError):
+            pass
+        for od2 in seen:
+            try:
+                got = rate(od2)
+            except LambdaSpectraError as exc:
+                with pytest.raises(type(exc)):
+                    alphas(od2, propagation._NO_GRID)
+                continue
+            assert got == alphas(od2, propagation._NO_GRID)[2]
+        return len(seen)
+
+    def test_rate_on_every_preset_point(self):
+        for rates, f, med, _ in self.preset_points():
+            assert self.assert_rate_is_alpha_d(rates, f, med) > 10
+
+    def test_rate_far_from_the_presets(self):
+        for _, _, cfg in accepted_draws():
+            self.assert_rate_is_alpha_d(
+                cfg.rates(), cfg.fields(float(cfg.sweep_deltas()[0])),
+                cfg.medium())
+
+
 class TestAgainstGL64:
     """transmit's optical depths held to the plain whole-grid GL-64 sum
     (`oracles.gauss_legendre_tau`), which climbs no ladder: an order
@@ -729,8 +854,9 @@ class TestAgainstGL64:
                 rates, fields, medium, EXACT, 64, grid)
         except LambdaSpectraError:
             return None
-        alphas = propagation._kernel(rates, fields.big_delta, medium, EXACT)
-        drive = propagation._drive_od2(alphas, od2)[0]
+        alphas, rate = propagation._kernel(rates, fields.big_delta, medium,
+                                           EXACT)
+        drive = propagation._drive_od2(rate, od2)[0]
         want_64, want_48 = (np.append(*gauss_legendre_tau(alphas, drive,
                                                           grid, n)[:2])
                             for n in (64, 48))
