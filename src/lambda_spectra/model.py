@@ -282,8 +282,8 @@ def maxwell_absorption(rates: Rates, od2, big_delta: float, ku: float,
     plateau (n,), alpha_d (n,)); row i is bitwise the call at od2[i] while
     n m stays within 8192 (the z rule's budget: from 16384 complex
     elements numpy's temporary elision rounds some entries otherwise).
-    `_drive_rate` gives alpha_d alone at a float od2 in numpy scalars,
-    bitwise the same.
+    An empty grid gives the drive's coefficient alone, as the depletion
+    quadrature of `propagation` samples it.
 
     With q = gamma^2 + x^2, c = gamma_r/gamma_bc, a = 3 + c and
     s^2 = gamma^2 + a gamma od2/(2 gamma_r), the drive-only populations of
@@ -333,7 +333,13 @@ def maxwell_absorption(rates: Rates, od2, big_delta: float, ku: float,
     g, gr, gbc = rates.gamma, rates.gamma_r, rates.gamma_bc
     nodes = np.shape(od2)  # () for a float
     col = np.reshape(od2, (-1, 1)) if nodes else od2  # a row per z node
-    drive, terms = _drive_rate(rates, col, big_delta, ku, kappa)
+    if gbc <= 0.0 and np.any(col == 0.0):
+        raise DegenerateRates("no drive and no ground-state relaxation")
+    drive = 0.0 * col  # alpha_d, 0 where kappa = 0 or gamma_bc = 0
+    if kappa != 0.0 and gbc != 0.0:
+        s = np.sqrt(g * g + (3.0 + gr / gbc) * g * col / (2.0 * gr))
+        m_s, v = _mean_lorentzian(s, big_delta, ku)
+        drive = kappa * 0.5 * g * v
 
     def mean(p):
         return maxwell_mean_inverse(p, big_delta, ku)
@@ -348,7 +354,7 @@ def maxwell_absorption(rates: Rates, od2, big_delta: float, ku: float,
     gcb = gbc - 1j * delta_grid
     # G, with gamma a numpy scalar so that M(-i gamma) is one wofz call
     two_level = (1j * _mean_lorentzian(np.float64(g), big_delta, ku)[0]).real
-    if terms is None:  # gamma_bc = 0
+    if gbc == 0.0:
         dark = delta_grid == 0.0
         x0 = -delta_grid - 1j * (g + col / np.where(dark, 1.0, gcb))
         probe = np.where(dark, 0.0, (1j * mean(x0)).real)
@@ -357,7 +363,6 @@ def maxwell_absorption(rates: Rates, od2, big_delta: float, ku: float,
                     np.full(np.shape(col), kappa * two_level)[()])
 
     c = gr / gbc
-    s, m_s, v = terms
     k = (0.5 * c - 1.5 + gr / g) / (3.0 + c)
     plateau = kappa * (0.5 * two_level + k * (two_level - g * v))
     if not delta_grid.size:  # a drive-only call
@@ -370,18 +375,3 @@ def maxwell_absorption(rates: Rates, od2, big_delta: float, ku: float,
     probe = 0.5j * m0 + (1j / gcb) * (r * (slope - v) / (x0 - 1j * s)
                                       + 0.5j * col * v)
     return rows(kappa * probe.real, plateau)
-
-
-def _drive_rate(rates: Rates, od2, big_delta: float, ku: float, kappa):
-    """alpha_d of `maxwell_absorption` at the drive od2, elementwise, and the
-    (s, M(-is), V) its probe reuses, None where kappa = 0 or gamma_bc = 0
-    (alpha_d 0).  A numpy scalar od2 stays in numpy scalars: one step of
-    the drive's depletion solve costs one wofz call."""
-    g, gr, gbc = rates.gamma, rates.gamma_r, rates.gamma_bc
-    if gbc <= 0.0 and np.any(od2 == 0.0):
-        raise DegenerateRates("no drive and no ground-state relaxation")
-    if kappa == 0.0 or gbc == 0.0:
-        return 0.0 * od2, None
-    s = np.sqrt(g * g + (3.0 + gr / gbc) * g * od2 / (2.0 * gr))
-    m_s, v = _mean_lorentzian(s, big_delta, ku)
-    return kappa * 0.5 * g * v, (s, m_s, v)

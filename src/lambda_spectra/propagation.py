@@ -13,8 +13,10 @@ The drive obeys its own scalar equation
 
 Doppler-averaged: the two-level coefficient of the drive, fed by the same
 lambda steady state as the probe (a closure choice that reduces to the
-plain two-level result).  `transmit` solves it once per point with an
-adaptive Runge-Kutta method (DOP853 with dense output) and then evaluates
+plain two-level result).  It is scalar and autonomous, so the depth is
+the integral s(y) = int_y^0 dy' / (L alpha_d) of y = ln(I_d / I_d(0)):
+`transmit` integrates it once per point as a Chebyshev series (see
+`_drive_od2`), inverts it onto a series y(s), and then evaluates
 tau by Gauss-Legendre quadrature in s, its order chosen on a subgrid (see
 `transmit`); only where the drive cannot change (kappa = 0 or omega_d = 0)
 does one kernel call give tau.  Local Rabi magnitudes scale as the square
@@ -45,30 +47,31 @@ the baseline, by which `normalize` divides, and the z rule's error estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .analytic import ac_stark_shift
 from .doppler import QuadratureSpec, velocity_nodes
 from .errors import ZeroBackground
-from .model import (Fields, Medium, Rates, _drive_rate,
-                    drive_only_populations, maxwell_absorption,
-                    weak_probe_susceptibility)
+from .model import (Fields, Medium, Rates, drive_only_populations,
+                    maxwell_absorption, weak_probe_susceptibility)
 
 __all__ = ["SlabConfig", "Spectrum", "transmit", "normalize",
            "reference_transmission"]
 
 _GAIN_TOL = 1e-6  # of kappa
 _Z_TOL = 1e-8  # optical depth: max |tau_n - tau_previous| that accepts GL-n
-_DRIVE_RTOL, _DRIVE_ATOL = 1e-10, 1e-13  # of ln(I_d/I_d(0)), DOP853
 _KU_NONE = 1e-8  # of gamma: a Doppler width at or below it is none
 _EXACT = QuadratureSpec("exact")
 _NO_GRID = np.zeros(0)
-_CALL_ELEMENTS = 8192  # nodes x grid points per kernel call (see transmit)
+_CALL_ELEMENTS = 8192  # velocity x z nodes x grid points per kernel call
+_CHOP = 1e-13  # of the largest Chebyshev coefficient: the drive's series tail
+_CHOP_POINTS = 4097  # Lobatto points at which a drive series stops doubling
+_NEWTON_STEPS = 30  # at most, per inversion of the drive's depth s(y)
 
 
 @dataclass(frozen=True)
@@ -164,48 +167,160 @@ def _gauss_legendre(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _drive_od2(rate, od2_entry: float):
-    """(|omega_d|^2 as a function of s, and at s = 1 from the last step) of
-    one DOP853 solve of d ln(I_d/I_d(0))/ds = -L alpha_d, with
-    rate(od2) -> L alpha_d.  ln I_d is clamped at 0 wherever it is read:
-    the drive only decays, and a trial stage above 0 would overflow exp at
-    large kappa L.  The first trial step is the depth over which the entry
-    drive would fall by 1/e, at most the cell: from ln I_d = 0 the
-    solver's own guess starts about 1e-6 deep and spends most of its calls
-    growing the step."""
-    def od2(y):
-        return od2_entry * np.exp(np.minimum(y, 0.0))
+def _lobatto_coefficients(values):
+    """Chebyshev coefficients of the polynomial through values at the
+    Chebyshev-Lobatto points cos(pi j / (n - 1)), j = 0 .. n - 1."""
+    n = values.size - 1
+    c = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / n
+    c[0] *= 0.5
+    c[n] *= 0.5
+    return c
 
-    sol = solve_ivp(lambda _s, y: [-rate(od2(y[0]))],
-                    (0.0, 1.0), [0.0], method="DOP853", rtol=_DRIVE_RTOL,
-                    atol=_DRIVE_ATOL, dense_output=True,
-                    first_step=1.0 / max(rate(od2_entry), 1.0))
-    if not sol.success:
-        raise RuntimeError(f"drive depletion solve failed: {sol.message}")
-    return lambda s: od2(sol.sol(s)[0]), od2(sol.y[0, -1])
+
+def _lobatto_points(n: int):
+    """cos(pi j / (n - 1)), j = 0 .. n - 1: from 1 down to -1."""
+    return np.cos(np.pi * np.arange(n) / (n - 1))
+
+
+def _series_values(x, *series):
+    """Each Chebyshev series at the points x in [-1, 1], from T_k(x) in
+    blocks of at most 65536 entries."""
+    size = max(c.size for c in series)
+    rows = max(1, 65536 // size)
+    if x.size > rows:
+        blocks = [_series_values(x[i:i + rows], *series)
+                  for i in range(0, x.size, rows)]
+        return [np.concatenate(block) for block in zip(*blocks)]
+    basis = np.cos(np.multiply.outer(np.arccos(x), np.arange(size)))
+    return [basis[:, :c.size] @ c for c in series]
+
+
+def _chopped(c):
+    """c cut after its last coefficient above 1e-13 of the largest, or None
+    where one of the last three is above that: not yet resolved."""
+    tail = np.flatnonzero(np.abs(c) > _CHOP * np.max(np.abs(c)))
+    return None if tail[-1] >= c.size - 3 else c[:tail[-1] + 1]
+
+
+def _resolved(sample):
+    """The chopped Chebyshev coefficients of sample(x), x in [-1, 1], on
+    2^k + 1 Lobatto points, k = 4, 5, ...: each doubling samples only the
+    new points; at 4097 points the series is taken unchopped."""
+    x = _lobatto_points(17)
+    values = sample(x)
+    while True:
+        c = _lobatto_coefficients(values)
+        chopped = _chopped(c)
+        if chopped is not None or values.size >= _CHOP_POINTS:
+            return c if chopped is None else chopped
+        x = _lobatto_points(2 * values.size - 1)
+        doubled = np.empty(x.size)
+        doubled[::2] = values
+        doubled[1::2] = sample(x[1::2])
+        values = doubled
+
+
+def _drive_od2(alphas, rates: Rates, od2_entry: float):
+    """(|omega_d|^2 as a function of s, and at s = 1) from the drive's
+    depletion, dy/ds = -R(y) with y = ln(I_d/I_d(0)) and R = L alpha_d from
+    alphas(od2 array, no grid)[2].  R grows as the drive depletes, from R_e
+    at the entry to R_0 at no drive, so the exit lies at
+    y >= max(-R_0, ln(1 - R_e)) (R e^y only grows with y).  The depth is
+    the integral s(y) = int_y^0 dy'/R(y'): `_resolved` interpolates 1/R in
+    y on an interval 1/16 past that bound and integrates the series; a
+    vectorized Newton solve inverts s(y) on the Lobatto points in s, and
+    `_resolved` again gives the series y(s).  Below the depth where the
+    saturation u = (3 + gamma_r/gamma_bc) |omega_d|^2 / (2 gamma_r gamma)
+    falls under 2^-53, R is R_0 to rounding (R_0 / (1 + u) <= R <= R_0),
+    so the interval stops there and y continues linearly.  gamma_bc = 0
+    (R = 0), and an entry rate R_e <= 2^-52 that moves ln I_d by at most
+    R_e, give y = -R_e s."""
+    r_entry = r_max = 0.0
+    if rates.gamma_bc > 0.0:  # else nothing absorbs the drive
+        r_entry, r_max = alphas(np.array([od2_entry, 0.0]), _NO_GRID)[2]
+    lo = 0.0
+    if r_entry > 2.0 ** -52:
+        exit_bound = -r_max
+        if r_entry < 1.0:
+            exit_bound = max(exit_bound, math.log1p(-r_entry))
+        g, gr, gbc = rates.gamma, rates.gamma_r, rates.gamma_bc
+        ln_u = (math.log(3.0 * gbc + gr) - math.log(gbc) + math.log(od2_entry)
+                - math.log(2.0 * gr) - math.log(g))
+        lo = max(1.0625 * exit_bound, -53.0 * math.log(2.0) - ln_u)
+    if lo >= 0.0:
+        return (lambda s: od2_entry * np.exp(-r_entry * np.asarray(s)),
+                od2_entry * math.exp(-r_entry))
+
+    def inverse_rate(x):  # 1/R at y = lo (1 - x) / 2
+        return 1.0 / alphas(od2_entry * np.exp(0.5 * lo * (1.0 - x)),
+                            _NO_GRID)[2]
+
+    half = -0.5 * lo
+    c = _resolved(inverse_rate)
+    # the antiderivative in x, 0 at x = 1 (y = 0): s = -half * big(x)
+    padded = np.concatenate((c, [0.0, 0.0]))
+    big = np.zeros(c.size + 1)
+    big[1:] = (padded[:-2] - padded[2:]) / (2.0 * np.arange(1, c.size + 1))
+    big[1] += 0.5 * padded[0]
+    big[0] = -np.sum(big[1:])
+    x_table = _lobatto_points(c.size + 1)
+    s_table = -half * _series_values(x_table, big)[0]
+    s_lo = s_table[-1]
+    r_lo = 1.0 / np.sum(c * (-1.0) ** np.arange(c.size))  # R at x = -1
+
+    def depth(t):  # y at s = (1 + t) / 2
+        s = 0.5 * (1.0 + t)
+        y = lo - r_lo * (s - s_lo)  # below lo, R = R_0 to rounding
+        inside = s < s_lo
+        target = s[inside] / half
+        x = np.interp(s[inside], s_table, x_table)
+        for _ in range(_NEWTON_STEPS):
+            antiderivative, inverse = _series_values(x, big, c)
+            step = (antiderivative + target) / inverse
+            x = np.minimum(np.maximum(x - step, -1.0), 1.0)
+            if np.max(np.abs(step), initial=0.0) <= 2.0 ** -50:
+                break
+        y[inside] = half * (x - 1.0)
+        return y
+
+    ys = _resolved(depth)
+    return (lambda s: od2_entry * np.exp(
+                _series_values(2.0 * np.asarray(s) - 1.0, ys)[0]),
+            od2_entry * math.exp(np.sum(ys)))
 
 
 def _kernel(rates: Rates, big_delta: float, medium: Medium,
             quad: QuadratureSpec):
-    """(alphas, rate) per unit s: alphas(od2, grid) -> (probe alpha on
-    grid, plateau, alpha_d) at the drive od2 = |omega_d|^2, a float or an
-    array of z nodes, and rate(od2) -> alpha_d at a float od2, the drive
-    solve's right-hand side.  The Faddeeva kernel for the exact scheme,
-    whose rate is `model._drive_rate` in numpy scalars; `_node_alphas`
-    over `velocity_nodes(quad, ku)` otherwise and wherever
-    ku <= 1e-8 gamma, which counts as ku = 0."""
+    """alphas(od2, grid) -> (probe alpha on grid, plateau, alpha_d) per unit
+    s at the drive od2 = |omega_d|^2, a float or an array of z nodes: the
+    Faddeeva kernel for the exact scheme, and `_node_alphas` over
+    `velocity_nodes(quad, ku)` otherwise and wherever ku <= 1e-8 gamma,
+    which counts as ku = 0.  An array goes to the kernel in calls of at
+    most 8192 velocity nodes x z nodes x grid points (one z node at the
+    least; the exact kernel counts one velocity node)."""
     kappa_l = medium.kappa_L(rates.gamma_r)
     ku = medium.ku if medium.ku > _KU_NONE * rates.gamma else 0.0
     if quad.scheme == "exact" and ku > 0.0:
-        return (lambda od2, grid: maxwell_absorption(rates, od2, big_delta,
-                                                     ku, grid, kappa_l),
-                lambda od2: _drive_rate(rates, od2, big_delta, ku,
-                                        kappa_l)[0])
-    w, kv = velocity_nodes(quad, ku)
+        velocity = 1
+
+        def call(od2, grid):
+            return maxwell_absorption(rates, od2, big_delta, ku, grid,
+                                      kappa_l)
+    else:
+        w, kv = velocity_nodes(quad, ku)
+        velocity = w.size
+
+        def call(od2, grid):
+            return _node_alphas(rates, od2, w, big_delta - kv, grid, kappa_l)
 
     def alphas(od2, grid):
-        return _node_alphas(rates, od2, w, big_delta - kv, grid, kappa_l)
-    return alphas, lambda od2: alphas(od2, _NO_GRID)[2]
+        per_call = max(1, _CALL_ELEMENTS // (velocity * max(grid.size, 1)))
+        if np.ndim(od2) == 0 or od2.size <= per_call:
+            return call(od2, grid)
+        parts = [call(od2[i:i + per_call], grid)
+                 for i in range(0, od2.size, per_call)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    return alphas
 
 
 def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
@@ -214,7 +329,7 @@ def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
     that `transmit` describes; every coefficient is per unit s, so the cell
     enters only through kappa L."""
     kappa_l = medium.kappa_L(rates.gamma_r)
-    alphas, rate = _kernel(rates, fields.big_delta, medium, quad)
+    alphas = _kernel(rates, fields.big_delta, medium, quad)
 
     def gain(alpha):
         return alpha < -_GAIN_TOL * kappa_l
@@ -224,21 +339,16 @@ def _optical_depths(rates: Rates, fields: Fields, medium: Medium,
         tau, tau_b, _ = alphas(od2_entry, delta_grid)  # z-independent
         return tau, tau_b, gain(tau), 0.0
 
-    drive, od2_exit = _drive_od2(rate, od2_entry)
+    drive, od2_exit = _drive_od2(alphas, rates, od2_entry)
+
     def integrate(n, grid):
         s, weights = _gauss_legendre(n)
-        od2 = drive(s)
-        per_call = max(1, _CALL_ELEMENTS // max(grid.size, 1))
+        alpha, alpha_b, _ = alphas(drive(s), grid)
         tau = np.zeros(grid.size + 1)  # the baseline last
-        flags = np.zeros(grid.size, dtype=bool)
-        for i in range(0, n, per_call):
-            alpha, alpha_b, _ = alphas(od2[i:i + per_call], grid)
-            flags |= gain(alpha).any(axis=0)
-            # node by node, in order: a row sum would round otherwise
-            for term in (weights[i:i + per_call, None]
-                         * np.column_stack((alpha, alpha_b))):
-                tau += term
-        return tau, flags
+        # node by node, in order: a row sum would round otherwise
+        for term in weights[:, None] * np.column_stack((alpha, alpha_b)):
+            tau += term
+        return tau, gain(alpha).any(axis=0)
 
     subgrid = delta_grid
     if delta_grid.size > 65:  # the line is where alpha depends most on z
@@ -273,11 +383,13 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
 
     T = exp(-tau), with tau(delta) = sum_k w_k L alpha(I_d(s_k), delta)
     over the n Gauss-Legendre nodes s_k of the scaled depth s = z/L.  The
-    drive intensity I_d(s) comes from one DOP853 solve of its depletion
-    equation per call (rtol 1e-10, atol 1e-13 on ln I_d, each right-hand
-    side the kernel's scalar drive rate).  The orders n = 2, 3, 4, 5, 6,
-    8, 10, 12, 16, ..., 64 (`_ladder`) below slabs.slab_count, then
-    slab_count, are tried in turn on a subgrid (above 65 points, rint(
+    drive intensity I_d(s) comes from one quadrature of its depletion per
+    call (`_drive_od2`: Chebyshev series in ln I_d chopped at 1e-13 of
+    their largest coefficient; the presets need 17 points, and
+    ln |omega_d|^2 is within 5.7e-14 of a DOP853 solve at rtol 1e-13 on
+    them, within 6.8e-12 at 10 times the density).  The orders n = 2, 3,
+    4, 5, 6, 8, 10, 12, 16, ..., 64 (`_ladder`) below slabs.slab_count,
+    then slab_count, are tried in turn on a subgrid (above 65 points, rint(
     linspace(0, size - 1, 65)) and the points nearest the ac-Stark-shifted
     line at the entry and exit drive); the first n whose tau there and for
     the baseline moves by at most 1e-8 against the previous order (or the
@@ -288,7 +400,8 @@ def transmit(rates: Rates, fields_at_entry: Fields, medium: Medium,
     (kappa = 0 or omega_d = 0) one call gives tau; z_error 0.
 
     Each kernel call takes as many of an order's nodes as fit in 8192
-    nodes x grid points: the subgrid's whole order, up to 10 nodes of an
+    velocity nodes x z nodes x grid points (one velocity node for the
+    exact kernel): the subgrid's whole order, up to 10 nodes of an
     801-point grid, 2 of a 3201-point one.  Most of a call's cost is fixed
     (about 45 us), but larger temporaries (above 128 KiB complex) page-
     fault, and from 16384 elements numpy's temporary elision rounds

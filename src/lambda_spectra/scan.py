@@ -355,7 +355,7 @@ def auto_delta_grid(rates: Rates, fields: Fields, medium: Medium,
     # Doppler-averaged background depth at the entry drive, from 32
     # Gauss-Hermite nodes: it only sets the span, and is not the exact
     # depth (on vacuum at Delta = 0 it reads 0.46 against the exact 8.97)
-    od_bg = _kernel(rates, dl, medium, QuadratureSpec(node_count=32))[0](
+    od_bg = _kernel(rates, dl, medium, QuadratureSpec(node_count=32))(
         od**2, _NO_GRID)[1]
     kl = medium.kappa_L(rates.gamma_r)
 

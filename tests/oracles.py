@@ -12,8 +12,10 @@ slab march, Richardson-extrapolated over 2048 and 4096 slabs; it takes
 the package's absorption kernel as a callable, so only its z rule is
 independent.  The z rule's choice of order has its own oracle: the
 Gauss-Legendre ladder climbed on the whole grid, on the package's kernel
-and drive solve, and its accuracy the plain whole-grid Gauss-Legendre sum
-of high order.  The velocity average is a dense truncated trapezoid
+and drive quadrature, and its accuracy the plain whole-grid
+Gauss-Legendre sum of high order.  The drive's depletion is one DOP853
+solve of its ODE at rtol 1e-13, where the package integrates a Chebyshev
+series in ln I_d.  The velocity average is a dense truncated trapezoid
 sum, the divided difference of two averages an mpmath evaluation of the
 Faddeeva function, and fit refinement a local grid search.  The
 strong-drive susceptibility is the weak-probe response
@@ -175,6 +177,25 @@ def slab_march_richardson(alphas, od2_entry, grid):
     (t1, b1), (t2, b2) = (slab_march(alphas, od2_entry, grid, n)
                           for n in (2048, 4096))
     return (4.0 * t2 - t1) / 3.0, (4.0 * b2 - b1) / 3.0
+
+
+def drive_dop853(alpha_d, od2_entry):
+    """ln(|omega_d|^2 / |omega_d(0)|^2) as a function of s: one DOP853
+    solve (rtol 1e-13, atol 1e-15) of the drive's depletion
+    d ln I_d / ds = -alpha_d(|omega_d|^2), alpha_d per unit s at a float.
+    ln I_d is clamped at 0 where it is read (a trial stage above 0 could
+    overflow exp), and the first step is the depth over which the entry
+    drive would fall by 1/e, at most the cell."""
+    from scipy.integrate import solve_ivp
+
+    def rate(_s, y):
+        return [-alpha_d(od2_entry * math.exp(min(y[0], 0.0)))]
+
+    sol = solve_ivp(rate, (0.0, 1.0), [0.0], method="DOP853", rtol=1e-13,
+                    atol=1e-15, dense_output=True,
+                    first_step=1.0 / max(-rate(0.0, [0.0])[0], 1.0))
+    assert sol.success, sol.message
+    return lambda s: sol.sol(s)[0]
 
 
 def gauss_legendre_tau(alphas, drive, grid, n):
